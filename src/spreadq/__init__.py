@@ -1,10 +1,12 @@
 """Spread complexity and survival probability of quenched quantum states."""
 
 from .errors import (
+    AssemblyError,
     DomainError,
     EnsembleMemberError,
     FitError,
     InsufficientMomentsError,
+    LapackError,
     NormalizationError,
     NotPowerLawError,
     NumericalError,
@@ -61,8 +63,10 @@ from .matrix_lanczos import (
 from .evolution import (
     KrylovAmplitudes,
     LongTimeAverages,
+    Spectrum,
     SpreadComplexitySeries,
     default_time_grid,
+    eigendecompose,
     evolve_amplitudes,
     long_time_average,
     spread_complexity,

@@ -102,7 +102,7 @@ def _window_slice(n_values, window, minimum_points):
     lo, hi = window
     mask = (n_values >= lo) & (n_values <= hi)
     if np.count_nonzero(mask) < minimum_points:
-        raise FitError(
+        raise WindowError(
             f"window {window} keeps {np.count_nonzero(mask)} points, "
             f"need {minimum_points}")
     return mask

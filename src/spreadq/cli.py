@@ -33,7 +33,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import scipy
-from scipy.linalg import eigh_tridiagonal
 
 from . import __version__
 from .analysis import (
@@ -47,7 +46,9 @@ from .analysis import (
 )
 from .errors import DomainError, NumericalError, WindowError
 from .evolution import (
+    LongTimeAverages,
     SpreadComplexitySeries,
+    eigendecompose,
     evolve_amplitudes,
     long_time_average,
     spread_complexity,
@@ -142,9 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            action=argparse.BooleanOptionalAction,
                            default=None,
                            help="logarithmic (default) or linear time grid")
-            p.add_argument("--precision-bits", dest="precision_bits",
-                           type=int, help="working precision floor for the "
-                           "moment pipeline")
 
     p_model = sub.add_parser("model", help="closed-form amplitude models")
     add_common(p_model)
@@ -157,6 +155,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_model.add_argument("--formal", action=argparse.BooleanOptionalAction,
                          default=None,
                          help="continue through Hankel violations")
+    p_model.add_argument("--precision-bits", dest="precision_bits", type=int,
+                         help="working precision floor for the moment "
+                         "pipeline")
 
     p_frm = sub.add_parser("frm", help="dense random-matrix ensemble")
     add_common(p_frm)
@@ -254,13 +255,11 @@ def _check_seed(value) -> int:
     return int(value)
 
 
-def _auto_tmax(lc: LanczosCoefficients, sigma_ref: float) -> float:
-    """Grid end covering saturation: HEISENBERG_MULTIPLE Heisenberg times."""
-    if lc.K > 1:
-        lam = eigh_tridiagonal(lc.a, lc.b, eigvals_only=True)
-    else:
-        lam = np.asarray(lc.a)
-    lam = np.sort(lam)
+def _auto_tmax(lam: np.ndarray, sigma_ref: float) -> float:
+    """Grid end covering saturation: HEISENBERG_MULTIPLE Heisenberg times.
+
+    ``lam`` holds the ascending eigenvalues of the coefficient matrix.
+    """
     gaps = np.diff(lam)
     gaps = gaps[gaps > 1e-12 * max(1.0, abs(lam).max(initial=0.0))]
     if gaps.size == 0:
@@ -326,11 +325,6 @@ def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
     })
 
 
-def _evolve_series(lc: LanczosCoefficients, times: np.ndarray):
-    amp = evolve_amplitudes(lc, times)
-    return spread_complexity(amp)
-
-
 def _peak_plateau_entry(series) -> dict:
     """Peak/plateau diagnostics; a too-short grid is reported, not fatal."""
     try:
@@ -366,10 +360,12 @@ def _cmd_model(config: dict) -> None:
     fits: dict = {"depth": lc.K, "physical": lc.physical}
     if lc.physical:
         sigma_ref = float(lc.b[0]) if lc.K > 1 else max(abs(lc.a[0]), 1.0)
-        times = _time_grid(config, sigma_ref, _auto_tmax(lc, sigma_ref))
-        series = _evolve_series(lc, times)
+        spectrum = eigendecompose(lc)
+        times = _time_grid(config, sigma_ref,
+                           _auto_tmax(spectrum.values, sigma_ref))
+        series = spread_complexity(evolve_amplitudes(spectrum, times))
         series.to_csv(out / "series.csv")
-        avg = long_time_average(lc)
+        avg = long_time_average(spectrum)
         write_sidecar(avg, lc.K, out / "averages.json")
         fits["b1"] = float(lc.b[0]) if lc.K > 1 else None
         # the default power-fit window (2, len(b)//2) needs 3 points
@@ -396,27 +392,37 @@ def _ensemble_pipeline(config: dict, out: Path, build_lc, dim: int):
 
     ``build_lc(stream)`` returns the coefficient set of one member.  The
     time grid is fixed by member 0 before the pool starts, so results do
-    not depend on ``--threads``.
+    not depend on ``--threads``.  Each member's task diagonalizes its T
+    once, for both its series and its long-time averages, and drops the
+    spectrum when it ends; member 0's spectrum also sets the grid end.
     """
     realizations = _check_positive_int("--realizations",
                                        config["realizations"])
     threads = _check_positive_int("--threads", config["threads"])
     streams = list(range(realizations))
     coefficient_sets: dict[int, LanczosCoefficients] = {}
+    averages: dict[int, LongTimeAverages] = {}
 
     lc0 = build_lc(0)
     coefficient_sets[0] = lc0
     if lc0.K < 2:
         raise DomainError("member 0 has Krylov dimension 1; nothing to fit")
+    # member 0's task pops its spectrum, so it is freed when that task ends
+    spectra = {0: eigendecompose(lc0)}
     sigma_ref = float(lc0.b[0])
-    times = _time_grid(config, sigma_ref, _auto_tmax(lc0, sigma_ref))
+    times = _time_grid(config, sigma_ref,
+                       _auto_tmax(spectra[0].values, sigma_ref))
 
     def run(stream: int):
         lc = coefficient_sets.get(stream)
         if lc is None:
             lc = build_lc(stream)
             coefficient_sets[stream] = lc
-        return _evolve_series(lc, times)
+        spectrum = spectra.pop(stream) if stream in spectra \
+            else eigendecompose(lc)
+        series = spread_complexity(evolve_amplitudes(spectrum, times))
+        averages[stream] = long_time_average(spectrum)
+        return series
 
     ens = ensemble_average(run, streams, max_workers=threads)
 
@@ -435,12 +441,11 @@ def _ensemble_pipeline(config: dict, out: Path, build_lc, dim: int):
     mean_lc.to_csv(out / "coeffs_mean.csv")
     _write_ensemble_csv(out / "ensemble.csv", ens)
 
-    averages = [long_time_average(coefficient_sets[s]) for s in streams]
     mean_series = SpreadComplexitySeries(times=ens.times, C=ens.mean_C,
                                          F=ens.mean_F)
     return (streams, coefficient_sets, mean_lc, mean_series, {
-        "C_bar": float(np.mean([a.c_bar for a in averages])),
-        "F_bar": float(np.mean([a.f_bar for a in averages])),
+        "C_bar": float(np.mean([averages[s].c_bar for s in streams])),
+        "F_bar": float(np.mean([averages[s].f_bar for s in streams])),
     })
 
 
@@ -468,10 +473,15 @@ def _cmd_frm(config: dict) -> None:
         config, out, build_lc, dim)
 
     profile_window = (1, min(mean_lc.K - 1, dim - 20))
+    try:
+        goe_profile = fit_goe_profile(mean_lc, dim,
+                                      window=profile_window).to_dict()
+    except WindowError as exc:
+        # small dimensions leave too few points once the tail is dropped
+        goe_profile = {"skipped": str(exc)}
     fits = {
         "b1_mean": float(mean_lc.b[0]),
-        "goe_profile": fit_goe_profile(mean_lc, dim,
-                                       window=profile_window).to_dict(),
+        "goe_profile": goe_profile,
         "peak_plateau": _peak_plateau_entry(mean_series),
         "long_time_average": avg,
         "realizations": len(streams),

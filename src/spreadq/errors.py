@@ -42,6 +42,14 @@ class PrecisionError(NumericalError):
     """Working precision could not be escalated far enough to converge."""
 
 
+class LapackError(NumericalError):
+    """A LAPACK routine reported failure (nonzero ``info``)."""
+
+
+class AssemblyError(NumericalError):
+    """Building a Hamiltonian or a state broke an internal invariant."""
+
+
 class FitError(NumericalError):
     """A fit could not be performed on the supplied data."""
 

@@ -1,14 +1,21 @@
 """Krylov-space time evolution and spread-complexity observables.
 
-The tridiagonal coefficient matrix T is diagonalized once per job
-(``scipy.linalg.eigh_tridiagonal``) and amplitudes follow exactly:
+``eigendecompose`` is the one place that diagonalizes the tridiagonal
+coefficient matrix T (``scipy.linalg.eigh_tridiagonal``).  Its ``Spectrum``
+feeds both ``evolve_amplitudes`` and ``long_time_average``, so a caller that
+needs both, like each ensemble member of the command line, diagonalizes T
+once; given ``LanczosCoefficients`` instead, each function diagonalizes T
+itself.  Amplitudes follow exactly:
 
     phi_n(t) = sum_k U_nk exp(-i lambda_k t) U_0k
 
-No time-stepping error enters; each grid point is independent, so the
+evaluated as two real matrix products, one on cos(lambda_k t) U_0k for the
+real part and one on sin(lambda_k t) U_0k for the imaginary part.  No
+time-stepping error enters; each grid point is independent, so the
 evolution is unitary up to eigensolver roundoff at every t.
 
-Infinite-time averages use the eigenbasis overlaps.  Eigenvalues closer than
+Infinite-time averages use the eigenbasis overlaps, reduced over blocks of
+Krylov rows so that no K x K temporary is formed.  Eigenvalues closer than
 1e-12 (relative) are merged into degenerate blocks first; the plain
 sum-over-levels formula silently assumes a non-degenerate spectrum and
 overestimates dephasing inside a block.
@@ -26,6 +33,8 @@ UNITARITY_ATOL = 1e-10
 INTEGRITY_ATOL = 1e-8
 DEGENERACY_RTOL = 1e-12
 DEFAULT_GRID_POINTS = 600
+# Krylov rows per block of the long-time average's overlap reduction
+AVERAGE_ROW_BLOCK = 256
 
 
 @dataclass
@@ -94,18 +103,38 @@ class LongTimeAverages:
     f_bar: float
 
 
-def _eigendecompose(lc: LanczosCoefficients):
+@dataclass(frozen=True)
+class Spectrum:
+    """Ascending eigenvalues of T and its eigenvectors ``vectors[:, k]``."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def K(self) -> int:
+        return self.values.size
+
+
+def eigendecompose(lc: LanczosCoefficients) -> Spectrum:
+    """Diagonalize the tridiagonal matrix of a physical coefficient set."""
     if not lc.physical:
         raise DomainError(
             "formal coefficient sets do not define a Hermitian evolution")
     if lc.K == 1:
-        return np.array([lc.a[0]]), np.eye(1)
-    lam, vecs = eigh_tridiagonal(lc.a, lc.b)
-    return lam, vecs
+        return Spectrum(np.array([lc.a[0]]), np.eye(1))
+    return Spectrum(*eigh_tridiagonal(lc.a, lc.b))
 
 
-def evolve_amplitudes(lc: LanczosCoefficients, times) -> KrylovAmplitudes:
-    """Solve the discrete Schrodinger equation on the given time grid."""
+def _spectrum(source) -> Spectrum:
+    return source if isinstance(source, Spectrum) else eigendecompose(source)
+
+
+def evolve_amplitudes(source, times) -> KrylovAmplitudes:
+    """Solve the discrete Schrodinger equation on the given time grid.
+
+    ``source`` is a ``Spectrum`` or the ``LanczosCoefficients`` to
+    diagonalize.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise DomainError("empty time grid")
@@ -113,9 +142,15 @@ def evolve_amplitudes(lc: LanczosCoefficients, times) -> KrylovAmplitudes:
         raise DomainError("time grid must be finite")
     if np.any(np.diff(times) < 0):
         raise DomainError("time grid must be ascending")
-    lam, vecs = _eigendecompose(lc)
-    phases = np.exp(-1j * np.outer(times, lam))
-    phi = (phases * vecs[0]) @ vecs.T
+    spectrum = _spectrum(source)
+    vecs = spectrum.vectors
+    # exp(-i lambda t) = cos(lambda t) - i sin(lambda t), one real GEMM each
+    angles = np.outer(times, spectrum.values)
+    phi = np.empty(angles.shape, dtype=complex)
+    phi.real = (np.cos(angles) * vecs[0]) @ vecs.T
+    np.sin(angles, out=angles)
+    angles *= -vecs[0]
+    phi.imag = angles @ vecs.T
     return KrylovAmplitudes(times=times, phi=phi)
 
 
@@ -137,24 +172,30 @@ def spread_complexity(amp: KrylovAmplitudes) -> SpreadComplexitySeries:
     return SpreadComplexitySeries(times=amp.times, C=spread, F=survival)
 
 
-def _degenerate_blocks(lam: np.ndarray):
+def _degenerate_block_starts(lam: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(lam))))
     gaps = np.diff(lam)
     boundaries = np.nonzero(gaps > DEGENERACY_RTOL * scale)[0]
-    starts = np.concatenate([[0], boundaries + 1])
-    stops = np.concatenate([boundaries + 1, [lam.size]])
-    return starts, stops
+    return np.concatenate([[0], boundaries + 1])
 
 
-def long_time_average(lc: LanczosCoefficients) -> LongTimeAverages:
-    """Infinite-time averages of C and F with degenerate levels merged."""
-    lam, vecs = _eigendecompose(lc)
-    starts, stops = _degenerate_blocks(lam)
-    overlap = vecs * vecs[0]
-    block_sums = np.add.reduceat(overlap, starts, axis=1)
-    c_bar = float(np.arange(lc.K) @ np.sum(block_sums ** 2, axis=1))
-    f_bar = float(np.sum(block_sums[0] ** 2))
-    return LongTimeAverages(c_bar=c_bar, f_bar=f_bar)
+def long_time_average(source) -> LongTimeAverages:
+    """Infinite-time averages of C and F with degenerate levels merged.
+
+    ``source`` is a ``Spectrum`` or the ``LanczosCoefficients`` to
+    diagonalize.
+    """
+    spectrum = _spectrum(source)
+    vecs = spectrum.vectors
+    starts = _degenerate_block_starts(spectrum.values)
+    # weights[n] = sum over blocks of (sum_{k in block} U_nk U_0k)^2
+    weights = np.empty(spectrum.K)
+    for lo in range(0, spectrum.K, AVERAGE_ROW_BLOCK):
+        rows = slice(lo, lo + AVERAGE_ROW_BLOCK)
+        block_sums = np.add.reduceat(vecs[rows] * vecs[0], starts, axis=1)
+        weights[rows] = np.sum(block_sums ** 2, axis=1)
+    c_bar = float(np.arange(spectrum.K) @ weights)
+    return LongTimeAverages(c_bar=c_bar, f_bar=float(weights[0]))
 
 
 def default_time_grid(sigma0: float, points: int = DEFAULT_GRID_POINTS) \

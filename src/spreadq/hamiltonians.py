@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError
+from .errors import AssemblyError, DomainError, NormalizationError
 from .models import LdosSummary
 
 BINARY_MAGIC = b"KSH1"
@@ -175,7 +175,7 @@ def build_spin_sector(spec: SpinChainSpec, stream: int = 0) \
     ham[np.arange(dim), np.arange(dim)] = diag
 
     if not np.array_equal(ham, ham.T):
-        raise RuntimeError("sector assembly produced an asymmetric matrix")
+        raise AssemblyError("sector assembly produced an asymmetric matrix")
     meta = {"kind": "spin_chain", "L": int(L), "h": float(spec.h),
             "g": float(spec.g), "seed": int(spec.seed),
             "stream": int(stream), "fields": fields_h.tolist()}
@@ -188,7 +188,7 @@ def domain_wall_state(spec: SpinChainSpec) -> StateVector:
     mask = (1 << (spec.L // 2)) - 1
     idx = int(np.searchsorted(basis, mask))
     if idx >= basis.size or basis[idx] != mask:
-        raise RuntimeError(
+        raise AssemblyError(
             f"domain-wall mask {mask:#x} missing from the sector basis")
     amplitudes = np.zeros(basis.size)
     amplitudes[idx] = 1.0

@@ -5,10 +5,11 @@ Two independent routes to the same coefficients:
 - ``lanczos_tridiagonalize``: three-term recursion with full
   reorthogonalization (two Gram-Schmidt passes against every previous basis
   vector) each step.  Reference for partial depth K < dimension.
-- ``householder_hessenberg``: rotate psi0 onto e1 with one reflector, then
-  LAPACK dsytrd.  The dsytrd reflectors all leave e1 fixed, so the first
-  basis vector of the combined transform stays (up to sign) psi0.  Reference
-  for full-depth coefficient profiles; backward-stable at any dimension.
+- ``householder_hessenberg``: rotate psi0 onto e1 with one reflector (an
+  index swap when psi0 is a basis vector), then LAPACK dsytrd.  The dsytrd
+  reflectors all leave e1 fixed, so the first basis vector of the combined
+  transform stays (up to sign) psi0.  Reference for full-depth coefficient
+  profiles; backward-stable at any dimension.
 
 Both truncate at the first sub-diagonal entry below 1e-12 * ||H|| (spectral
 norm estimated by power iteration): past a decoupling the tridiagonal block
@@ -19,7 +20,7 @@ import struct
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DomainError, NormalizationError
+from .errors import DomainError, LapackError, NormalizationError
 from .hamiltonians import SectorHamiltonian, StateVector
 from .moment_lanczos import LanczosCoefficients
 
@@ -111,6 +112,12 @@ def householder_hessenberg(ham, psi0) -> LanczosCoefficients:
     Real symmetric input only.  Sub-diagonal entries are made non-negative
     (diagonal sign flips leave the coefficients' physics unchanged) and the
     profile is truncated at the first decoupling, as in the Lanczos path.
+
+    When psi0 is a multiple of a basis vector e_j, the reflector is the
+    symmetric swap of indices 0 and j (a plain copy for j = 0): its sign
+    flips do not change a_n or |b_n|, so no rank-2 update is formed.  Any
+    other psi0 takes the reflector route.  Either way dsytrd reduces one
+    private copy in place; the caller's H is never written.
     """
     matrix, start = _unpack(ham, psi0)
     if np.iscomplexobj(matrix) or np.iscomplexobj(start):
@@ -120,23 +127,34 @@ def householder_hessenberg(ham, psi0) -> LanczosCoefficients:
         return LanczosCoefficients(a=matrix[0, :1].astype(float).copy(),
                                    b=np.zeros(0), physical=True)
 
-    # reflector v sending psi0 to +-e1; sign chosen to avoid cancellation
-    sign = -1.0 if start[0] >= 0 else 1.0
-    v = start.astype(float).copy()
-    v[0] -= sign
-    # v^T v = 2 (1 + |psi0[0]|) >= 2, so the reflector never degenerates
-    vnorm2 = v @ v
-    hv = matrix @ v
-    alpha = 2.0 / vnorm2
-    beta = alpha * alpha / 2.0 * (v @ hv)
-    # P H P with P = I - 2 v v^T / (v^T v), via a rank-2 update
-    u = alpha * hv - beta * v
-    rotated = matrix - np.outer(u, v) - np.outer(v, u)
-    rotated = (rotated + rotated.T) / 2.0
+    support = np.flatnonzero(start)
+    if support.size == 1:
+        rotated = np.array(matrix, dtype=float, order="C")
+        j = int(support[0])
+        if j != 0:
+            rotated[[0, j]] = rotated[[j, 0]]
+            rotated[:, [0, j]] = rotated[:, [j, 0]]
+    else:
+        # reflector v sending psi0 to +-e1; sign chosen to avoid
+        # cancellation
+        sign = -1.0 if start[0] >= 0 else 1.0
+        v = start.astype(float).copy()
+        v[0] -= sign
+        # v^T v = 2 (1 + |psi0[0]|) >= 2, so the reflector never degenerates
+        vnorm2 = v @ v
+        hv = matrix @ v
+        alpha = 2.0 / vnorm2
+        beta = alpha * alpha / 2.0 * (v @ hv)
+        # P H P with P = I - 2 v v^T / (v^T v), via a rank-2 update
+        u = alpha * hv - beta * v
+        rotated = matrix - np.outer(u, v) - np.outer(v, u)
+        rotated = (rotated + rotated.T) / 2.0
 
-    c, d, e, tau, info = lapack.dsytrd(rotated, lower=1)
+    # rotated is symmetric and C-ordered, so its transpose is the same
+    # matrix in Fortran order: dsytrd overwrites it without another copy
+    _, d, e, _, info = lapack.dsytrd(rotated.T, lower=1, overwrite_a=1)
     if info != 0:
-        raise RuntimeError(f"dsytrd failed with info={info}")
+        raise LapackError(f"dsytrd failed with info={info}")
     diag = np.asarray(d, dtype=float)
     off = np.abs(np.asarray(e, dtype=float))
 

@@ -1,4 +1,9 @@
-"""End-to-end tests of the command-line front end (subprocess level)."""
+"""End-to-end tests of the command-line front end.
+
+Most tests run the command in a child process.  The tests that patch a
+library function (to count eigensolves or to inject a failure) call
+``spreadq.cli.main`` in-process instead.
+"""
 
 import json
 import math
@@ -9,8 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import lapack
 
 import spreadq
+import spreadq.cli
 
 # Directory holding the spreadq package this process imported (``src/`` or
 # site-packages). It goes first on the child's PYTHONPATH, so the child runs
@@ -245,3 +253,86 @@ def test_spin_compare_smaller_writes_subdirectory(tmp_path):
     assert (sub / "manifest.json").exists()
     cfg = json.loads((sub / "manifest.json").read_text())["config"]
     assert cfg["L"] == 4 and cfg["compare_smaller"] is False
+
+
+def test_precision_bits_is_rejected_outside_model(tmp_path):
+    proc = run_cli("frm", "--dim", "40", "--realizations", "1",
+                   "--tpoints", "20", "--precision-bits", "7",
+                   "--out", "never", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "--precision-bits" in proc.stderr
+    assert not (tmp_path / "never").exists()
+
+
+def test_frm_small_dimension_skips_profile_fit(tmp_path):
+    # dim - 20 leaves no points for the GOE profile window
+    proc = run_cli("frm", "--dim", "20", "--realizations", "1",
+                   "--tpoints", "20", "--out", "run", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "run"
+    fits = json.loads((out / "fits.json").read_text())
+    assert "skipped" in fits["goe_profile"]
+    assert fits["realizations"] == 1
+    assert (out / "manifest.json").exists()
+
+
+@pytest.fixture
+def eigensolve_calls(monkeypatch):
+    """Count ``eigh_tridiagonal`` calls from every spreadq module."""
+    kernel = scipy.linalg.eigh_tridiagonal
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].size)
+        return kernel(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "spreadq" or name.startswith("spreadq."):
+            for attr, value in list(vars(module).items()):
+                if value is kernel:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_frm_diagonalizes_each_member_once(tmp_path, eigensolve_calls):
+    code = spreadq.cli.main(["frm", "--dim", "40", "--realizations", "3",
+                             "--tpoints", "20", "--out",
+                             str(tmp_path / "run")])
+    assert code == 0
+    assert len(eigensolve_calls) == 3
+
+
+def test_model_diagonalizes_once(tmp_path, eigensolve_calls):
+    code = spreadq.cli.main(["model", "--variant", "gaussian", "--sigma0",
+                             "1", "--K", "16", "--tpoints", "20", "--out",
+                             str(tmp_path / "run")])
+    assert code == 0
+    assert len(eigensolve_calls) == 1
+
+
+def test_dsytrd_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def failing(a, *args, **kwargs):
+        n = a.shape[0]
+        return a, np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), 1
+
+    monkeypatch.setattr(lapack, "dsytrd", failing)
+    code = spreadq.cli.main(["frm", "--dim", "30", "--realizations", "1",
+                             "--tpoints", "20", "--out",
+                             str(tmp_path / "run")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "LapackError" in err and "info=1" in err
+
+
+def test_sector_assembly_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a basis without the domain-wall label breaks the state builder
+    from spreadq import hamiltonians
+
+    real_basis = hamiltonians.sector_basis
+    monkeypatch.setattr(hamiltonians, "sector_basis",
+                        lambda L: real_basis(L)[1:])
+    code = spreadq.cli.main(["spin", "--L", "4", "--h", "0.1",
+                             "--realizations", "1", "--tpoints", "20",
+                             "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "AssemblyError" in capsys.readouterr().err

@@ -12,10 +12,13 @@ from scipy.linalg import expm
 
 from spreadq import DomainError, LanczosCoefficients, NumericalError
 from spreadq.evolution import (
+    AVERAGE_ROW_BLOCK,
     KrylovAmplitudes,
     LongTimeAverages,
+    Spectrum,
     SpreadComplexitySeries,
     default_time_grid,
+    eigendecompose,
     evolve_amplitudes,
     long_time_average,
     spread_complexity,
@@ -223,3 +226,59 @@ def test_series_csv_and_sidecar(tmp_path):
     assert data["K"] == 2
     assert data["C_bar"] == pytest.approx(0.5, rel=1e-12)
     assert data["F_bar"] == pytest.approx(0.5, rel=1e-12)
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(key=np.array(
+        [seed, 0], dtype=np.uint64)))
+
+
+def test_real_split_evolution_matches_matrix_exponential():
+    gen = philox(41)
+    K = 30
+    lc = LanczosCoefficients(a=gen.uniform(-1.0, 1.0, K),
+                             b=gen.uniform(0.5, 1.5, K - 1), physical=True)
+    tri = np.diag(lc.a) + np.diag(lc.b, 1) + np.diag(lc.b, -1)
+    times = np.array([0.0, 0.3, 1.7, 6.0, 19.0])
+    amp = evolve_amplitudes(lc, times)
+    for i, t in enumerate(times):
+        expected = expm(-1j * tri * t)[:, 0]
+        np.testing.assert_allclose(amp.phi[i], expected, rtol=0, atol=1e-12)
+
+
+def test_spectrum_and_coefficients_give_identical_results():
+    lc = gaussian_lc(0.8, 25)
+    spectrum = eigendecompose(lc)
+    assert spectrum.K == lc.K
+    times = np.geomspace(1e-2, 1e2, 50)
+    assert np.array_equal(evolve_amplitudes(spectrum, times).phi,
+                          evolve_amplitudes(lc, times).phi)
+    assert long_time_average(spectrum) == long_time_average(lc)
+
+
+def direct_long_time_average(values, vecs, starts):
+    """Reference: the K x K overlap matrix reduced in one piece."""
+    block_sums = np.add.reduceat(vecs * vecs[0], starts, axis=1)
+    weights = np.sum(block_sums ** 2, axis=1)
+    return float(np.arange(values.size) @ weights), float(weights[0])
+
+
+def test_blocked_long_time_average_matches_direct_formula():
+    gen = philox(42)
+    K = AVERAGE_ROW_BLOCK + 37
+    vecs, _ = np.linalg.qr(gen.standard_normal((K, K)))
+    values = np.sort(gen.uniform(-3.0, 3.0, K))
+    # one exactly degenerate quartet and one pair split below the tolerance
+    values[10:14] = values[10]
+    values[200] = values[199] + 1e-14
+    starts = np.array([0] + [k for k in range(1, K)
+                             if k not in (11, 12, 13, 200)])
+    c_ref, f_ref = direct_long_time_average(values, vecs, starts)
+    avg = long_time_average(Spectrum(values, vecs))
+    assert avg.c_bar == pytest.approx(c_ref, rel=1e-13)
+    assert avg.f_bar == pytest.approx(f_ref, rel=1e-13)
+    # the merge matters: summing over single levels gives other values
+    c_levels, f_levels = direct_long_time_average(values, vecs,
+                                                  np.arange(K))
+    assert abs(f_levels - f_ref) > 1e-6 * f_ref
+    assert abs(c_levels - c_ref) > 1e-6 * c_ref

@@ -201,3 +201,48 @@ def test_basis_binary_roundtrip(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"KSB1"
     assert len(raw) == 16 + 8 * basis.size
+
+
+def unit_vector(n, j, sign=1.0):
+    vec = np.zeros(n)
+    vec[j] = sign
+    return vec
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_householder_from_basis_vector_matches_lanczos(sign):
+    # a basis vector away from index 0 takes the index-swap route
+    ham, _ = random_symmetric(64, seed=31)
+    start = unit_vector(64, 17, sign)
+    lc_h = householder_hessenberg(ham, start)
+    lc_l = lanczos_tridiagonalize(ham, start, 64)
+    assert lc_h.K == lc_l.K == 64
+    np.testing.assert_allclose(lc_h.a, lc_l.a, atol=1e-8)
+    np.testing.assert_allclose(lc_h.b, lc_l.b, atol=1e-8)
+
+
+def test_householder_reflector_path_near_basis_vector():
+    # two nonzero entries: the general reflector route, next to the swap one
+    ham, _ = random_symmetric(64, seed=31)
+    start = unit_vector(64, 17) + 1e-3 * unit_vector(64, 40)
+    start /= np.linalg.norm(start)
+    lc_h = householder_hessenberg(ham, start)
+    lc_l = lanczos_tridiagonalize(ham, start, 64)
+    assert lc_h.K == lc_l.K == 64
+    np.testing.assert_allclose(lc_h.a, lc_l.a, atol=1e-8)
+    np.testing.assert_allclose(lc_h.b, lc_l.b, atol=1e-8)
+    # a 1e-3 tilt moves b_1 only slightly off the basis-vector value
+    lc_e = householder_hessenberg(ham, unit_vector(64, 17))
+    assert abs(lc_h.b[0] - lc_e.b[0]) < 1e-2 * lc_e.b[0]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
+def test_householder_leaves_caller_matrix_untouched(order, start_kind):
+    ham, general = random_symmetric(50, seed=32)
+    ham = np.array(ham, order=order)
+    start = {"e0": unit_vector(50, 0), "ej": unit_vector(50, 9),
+             "general": general}[start_kind]
+    before = ham.copy()
+    householder_hessenberg(ham, start)
+    assert np.array_equal(ham, before)
