@@ -75,7 +75,6 @@ HEISENBERG_MULTIPLE = 20.0
 _COMMON_DEFAULTS = {
     "out": None,
     "seed": 0,
-    "threads": 1,
     "tmax": None,
     "tpoints": 600,
     "log_grid": True,
@@ -94,12 +93,14 @@ DEFAULTS = {
     },
     "frm": {
         **_COMMON_DEFAULTS,
+        "threads": 1,
         "dim": None,
         "realizations": 3,
         "depth": None,
     },
     "spin": {
         **_COMMON_DEFAULTS,
+        "threads": 1,
         "L": None,
         "h": None,
         "g": 1.0,
@@ -135,8 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         if grid:
             p.add_argument("--seed", type=int, help="master RNG seed (u64)")
-            p.add_argument("--threads", type=int,
-                           help="worker threads for ensemble members")
             p.add_argument("--tmax", type=float, help="largest grid time")
             p.add_argument("--tpoints", type=int, help="grid size")
             p.add_argument("--log-grid", dest="log_grid",
@@ -159,8 +158,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="working precision floor for the moment "
                          "pipeline")
 
+    def add_threads(p):
+        p.add_argument("--threads", type=int,
+                       help="worker threads for ensemble members")
+
     p_frm = sub.add_parser("frm", help="dense random-matrix ensemble")
     add_common(p_frm)
+    add_threads(p_frm)
     p_frm.add_argument("--dim", type=int, help="matrix dimension")
     p_frm.add_argument("--realizations", type=int,
                        help="number of ensemble members")
@@ -169,6 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_spin = sub.add_parser("spin", help="disordered-chain ensemble")
     add_common(p_spin)
+    add_threads(p_spin)
     p_spin.add_argument("--L", type=int, help="even chain length")
     p_spin.add_argument("--h", type=float, help="disorder strength")
     p_spin.add_argument("--g", type=float, help="coupling quenched on at t=0")
@@ -344,6 +349,7 @@ def _cmd_model(config: dict) -> None:
     started = time.perf_counter()
     variant = _require(config, "variant", "--variant")
     depth = _check_positive_int("--K", config["depth"])
+    seed = _check_seed(config["seed"])
     params = {"variant": variant}
     for key in ("sigma0", "alpha", "gamma"):
         if config[key] is not None:
@@ -383,11 +389,11 @@ def _cmd_model(config: dict) -> None:
                         "evolution, so series and fits are skipped")
         fits["violation_depth"] = lc.violation_depth
     _write_json(out / "fits.json", fits)
-    _write_manifest(out, "model", config,
-                    {"master": config["seed"], "streams": []}, started)
+    _write_manifest(out, "model", config, {"master": seed, "streams": []},
+                    started)
 
 
-def _ensemble_pipeline(config: dict, out: Path, build_lc, dim: int):
+def _ensemble_pipeline(config: dict, command: str, build_lc):
     """Shared frm/spin flow: member coefficients, series, mean profiles.
 
     ``build_lc(stream)`` returns the coefficient set of one member.  The
@@ -395,6 +401,8 @@ def _ensemble_pipeline(config: dict, out: Path, build_lc, dim: int):
     not depend on ``--threads``.  Each member's task diagonalizes its T
     once, for both its series and its long-time averages, and drops the
     spectrum when it ends; member 0's spectrum also sets the grid end.
+    The output directory is created only once every member has finished,
+    so a failing member leaves nothing on disk.
     """
     realizations = _check_positive_int("--realizations",
                                        config["realizations"])
@@ -426,6 +434,7 @@ def _ensemble_pipeline(config: dict, out: Path, build_lc, dim: int):
 
     ens = ensemble_average(run, streams, max_workers=threads)
 
+    out = _out_dir(config, command)
     # ensemble rows are ordered by stream, so member series come for free
     for stream in streams:
         coefficient_sets[stream].to_csv(out / f"coeffs_{stream:04d}.csv")
@@ -443,7 +452,7 @@ def _ensemble_pipeline(config: dict, out: Path, build_lc, dim: int):
 
     mean_series = SpreadComplexitySeries(times=ens.times, C=ens.mean_C,
                                          F=ens.mean_F)
-    return (streams, coefficient_sets, mean_lc, mean_series, {
+    return (out, streams, coefficient_sets, mean_lc, mean_series, {
         "C_bar": float(np.mean([averages[s].c_bar for s in streams])),
         "F_bar": float(np.mean([averages[s].f_bar for s in streams])),
     })
@@ -468,9 +477,8 @@ def _cmd_frm(config: dict) -> None:
             return householder_hessenberg(sector.H, psi0)
         return lanczos_tridiagonalize(sector.H, psi0, depth)
 
-    out = _out_dir(config, "frm")
-    streams, sets, mean_lc, mean_series, avg = _ensemble_pipeline(
-        config, out, build_lc, dim)
+    out, streams, sets, mean_lc, mean_series, avg = _ensemble_pipeline(
+        config, "frm", build_lc)
 
     profile_window = (1, min(mean_lc.K - 1, dim - 20))
     try:
@@ -511,9 +519,8 @@ def _cmd_spin(config: dict) -> None:
             return householder_hessenberg(sector.H, psi0)
         return lanczos_tridiagonalize(sector.H, psi0, depth)
 
-    out = _out_dir(config, "spin")
-    streams, sets, mean_lc, mean_series, avg = _ensemble_pipeline(
-        config, out, build_lc, spec.dimension)
+    out, streams, sets, mean_lc, mean_series, avg = _ensemble_pipeline(
+        config, "spin", build_lc)
 
     stats = coefficient_stats({"run": [sets[s] for s in streams]})["run"]
     stats.hist_a.to_csv(out / "hist_a.csv")

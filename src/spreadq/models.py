@@ -36,10 +36,12 @@ Two *survival probability* models describe ensemble-averaged fidelities
 
   whose ``t = 0`` singularity is removable (``g(0) = 1 + A``).
 
-``moments_of_model`` returns the power moments of the implied density:
-exact rational values for the closed-form cases, and high-precision values
-from Richardson-extrapolated central differences (in the variable
-``u = t^2``) for the interpolation model.
+``moments_of_model`` returns the power moments of the implied density as
+exact rationals in the model's binary parameters.  For the interpolation
+model they are the Taylor coefficients of an exponential composed with the
+square-root (Catalan) series, summed in closed form; that sequence carries
+a working precision, which sends it through the escalating ``mpmath``
+recursion of ``moments_to_lanczos`` instead of the exact one.
 """
 
 from __future__ import annotations
@@ -50,20 +52,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import mpmath
 import numpy as np
 from scipy.special import j1 as _bessel_j1
 
-from .errors import DomainError, PrecisionError, VariantError
+from .errors import DomainError, VariantError
 from .moment_lanczos import MomentSequence
 
 # Arguments smaller than this are routed through series branches when a
 # formula has a removable singularity at zero.
 SERIES_THRESHOLD = 1e-4
-
-# Precision-escalation policy for derivative-based moment extraction.
-MOMENT_ESCALATION_RTOL = 1e-3
-MAX_MOMENT_PRECISION_BITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -309,91 +306,54 @@ def _catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def _richardson_derivatives(f, kmax: int, radius, prec: int, levels: int = 6):
-    """Derivatives f^(0..kmax)(0) by central differences at precision prec.
-
-    Step sizes start at ``radius / (kmax + 2)`` (keeping all evaluation
-    points well inside the analyticity radius) and halve through the
-    Richardson tableau, which cancels the even-order truncation terms.
-    """
-    guard = 12 * kmax + 60
-    radius = Fraction(radius)
-    with mpmath.workprec(prec + guard):
-        h0 = mpmath.mpf(radius.numerator) / radius.denominator / (kmax + 2)
-        derivs = [f(mpmath.mpf(0))]
-        for k in range(1, kmax + 1):
-            coeffs = [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
-            rows = []
-            for lev in range(levels):
-                h = h0 / 2**lev
-                acc = mpmath.mpf(0)
-                for j, c in enumerate(coeffs):
-                    acc += c * f((mpmath.mpf(k) / 2 - j) * h)
-                row = [acc / h**k]
-                for m in range(1, lev + 1):
-                    fac = mpmath.mpf(4) ** m
-                    row.append((fac * row[m - 1] - rows[lev - 1][m - 1])
-                               / (fac - 1))
-                rows.append(row)
-            derivs.append(rows[-1][-1])
-        return [mpmath.mpf(d) for d in derivs]
-
-
 def _interpolation_moments(model: InterpolationAutocorr, order: int,
                            precision_bits: int | None) -> MomentSequence:
-    """Even moments of the interpolation model by derivative extraction.
+    """Even moments of the interpolation model as exact rationals.
 
-    Works in ``u = t^2``, where ``S`` is analytic in a disc of radius
-    ``gamma^2 / (4 sigma0^4)``; then ``mu_2k = (-1)^k (2k)! s_k`` with
-    ``s_k`` the Taylor coefficients of ``S(u)``.  Precision doubles until
-    two levels agree to ``1e-3`` relative on the highest moment, and the
-    higher-precision values are returned.
+    With ``d = gamma^2 / (2 sigma0^2)`` and ``v = -sigma0^4 t^2 / gamma^2``
+    the amplitude is ``exp(d c(v))``, where ``c(v) = (1 - sqrt(1 - 4v))/2
+    = sum_k Cat_(k-1) v^k`` is the Catalan generating function.  Lagrange
+    inversion gives ``[v^n] c(v)^j = (j/n) C(2n-j-1, n-1)``, so
+
+        mu_2n = (2n)!/n! (sigma0^4/gamma^2)^n
+                * sum_(j=1..n) C(2n-j-1, n-1) d^j / (j-1)!,
+
+    summed below in integers over the denominator ``q^n`` of ``d^n``.  The
+    values equal the binomial-series recursion ``e_n = (1/n) sum_k k p_k
+    e_(n-k)`` (Brent & Kung 1978), which ``bench/refcheck.py`` keeps as an
+    independent oracle.  The sequence is tagged with a working precision,
+    so ``moments_to_lanczos`` converts it with the escalating ``mpmath``
+    recursion rather than the far slower ``Fraction`` one.
     """
-    kmax = order // 2
     s2 = Fraction(model.sigma0) ** 2
     g2 = Fraction(model.gamma) ** 2
-    radius_u = g2 / (4 * s2 * s2)
-
-    def f(u):
-        g2m = mpmath.mpf(g2.numerator) / g2.denominator
-        s2m = mpmath.mpf(s2.numerator) / s2.denominator
-        d = g2m / (2 * s2m)
-        return mpmath.exp(d / 2 - mpmath.sqrt(d * d + g2m * u) / 2)
-
-    prec = max(192, precision_bits or 0, 10 * kmax)
-    prev = None
-    while prec <= MAX_MOMENT_PRECISION_BITS:
-        derivs = _richardson_derivatives(f, kmax, radius_u, prec)
-        if prev is not None:
-            ref = derivs[kmax]
-            diff = abs(ref - prev[kmax])
-            if diff <= MOMENT_ESCALATION_RTOL * max(abs(ref),
-                                                    mpmath.mpf("1e-300")):
-                values = []
-                with mpmath.workprec(prec):
-                    for n in range(order + 1):
-                        if n % 2:
-                            values.append(mpmath.mpf(0))
-                        else:
-                            k = n // 2
-                            values.append((-1) ** k
-                                          * mpmath.factorial(2 * k)
-                                          / mpmath.factorial(k) * derivs[k])
-                return MomentSequence(tuple(values), precision_bits=prec)
-        prev = derivs
-        prec *= 2
-    raise PrecisionError(
-        f"moment extraction did not converge below "
-        f"{MAX_MOMENT_PRECISION_BITS} bits (order {order})")
+    d = g2 / (2 * s2)
+    p, q = d.numerator, d.denominator
+    values = [Fraction(0)] * (order + 1)
+    values[0] = Fraction(1)
+    for n in range(1, order // 2 + 1):
+        total = 0
+        falling = 1  # (n-1)!/(j-1)!
+        for j in range(n, 0, -1):
+            total += math.comb(2 * n - j - 1, n - 1) * falling \
+                * p**j * q**(n - j)
+            falling *= j - 1
+        values[2 * n] = Fraction(
+            math.factorial(2 * n) // math.factorial(n) * total, q**n) \
+            * (s2 * s2 / g2) ** n
+    return MomentSequence(tuple(values),
+                          precision_bits=max(128, precision_bits or 0))
 
 
 def moments_of_model(model: AmplitudeModel, order: int,
                      precision_bits: int | None = None) -> MomentSequence:
     """Power moments mu_0..mu_order of the density implied by a model.
 
-    Closed-form cases (Gaussian, semicircle, truncated quadratic) are
-    returned as exact rationals in the model's binary parameters; the
-    interpolation model goes through high-precision derivative extraction.
+    Every amplitude model gives exact rationals in its binary parameters.
+    The Gaussian, semicircle and truncated-quadratic sequences carry
+    ``precision_bits=None`` (exact ``Fraction`` recursion in
+    ``moments_to_lanczos``); the interpolation sequence carries
+    ``max(128, precision_bits)``, the floor of the ``mpmath`` recursion.
     Survival-probability models have no single implied density and raise
     ``VariantError``.
     """

@@ -16,7 +16,8 @@ directions without ever touching a matrix:
   is numerically violent (Hankel conditioning), so it never runs in double
   precision: rational inputs are processed with exact ``fractions.Fraction``
   arithmetic, everything else with ``mpmath`` at a working precision that is
-  escalated until two precision levels agree.
+  escalated until two precision levels agree.  Rationals tagged with a
+  ``precision_bits`` floor take the faster ``mpmath`` route too.
 
 * ``lanczos_to_moments`` recovers ``mu_n = (T^n)_00`` exactly.  Closed walks
   on a tridiagonal matrix cross every off-diagonal bond an even number of
@@ -65,9 +66,11 @@ ESCALATION_RTOL = 1e-9
 class MomentSequence:
     """Power moments ``mu_0 .. mu_order`` of a local density of states.
 
-    ``values[n]`` is ``mu_n``; entries are ``Fraction``/``int`` on the exact
-    path or ``mpmath.mpf``/``float`` otherwise.  ``precision_bits`` records
-    the working precision used to produce them (``None`` means exact).
+    ``values[n]`` is ``mu_n``, a ``Fraction``/``int`` or an
+    ``mpmath.mpf``/``float``.  ``precision_bits`` selects how
+    ``moments_to_lanczos`` converts them: ``None`` means the exact
+    ``Fraction`` recursion (when every value is rational), an integer means
+    the ``mpmath`` recursion escalated from that many bits upward.
     ``mu_0`` must equal 1 (normalized state).
     """
 
@@ -114,8 +117,7 @@ class MomentSequence:
             depth = len(self.values) // 2
             self._violation = None
             if depth >= 1:
-                result = _convert(self, depth, formal=True,
-                                  precision_bits=self.precision_bits)
+                result = _convert(self, depth, formal=True)
                 self._violation = result.violation_depth
             self._checked = True
         return self._violation
@@ -255,25 +257,35 @@ def _finalize(a, b2, violation) -> LanczosCoefficients:
                                violation_depth=violation)
 
 
-def _convert(moments, K, formal, precision_bits) -> LanczosCoefficients:
-    mu = list(moments.values if isinstance(moments, MomentSequence)
-              else moments)
-    if _is_rational_sequence(mu):
-        mu = [Fraction(v) for v in mu]
-        a, b2, violation = _recursion(mu, K, formal, exact=True)
+def _mpf(value):
+    """``value`` at the working precision; a rational as ``mpf(p)/q``."""
+    if isinstance(value, Rational):
+        return mpmath.mpf(value.numerator) / value.denominator
+    return value if isinstance(value, mpmath.mpf) else mpmath.mpf(value)
+
+
+def _convert(moments: MomentSequence, K, formal,
+             precision_bits=None) -> LanczosCoefficients:
+    """Exact recursion for rationals with ``precision_bits=None``, else
+    ``mpmath`` from ``max(128, 12 K, both precision floors)`` bits up."""
+    mu = moments.values
+    if moments.precision_bits is None and _is_rational_sequence(mu):
+        a, b2, violation = _recursion([Fraction(v) for v in mu], K, formal,
+                                      exact=True)
         return _finalize(a, b2, violation)
 
-    # Floating path: exact conversion of the inputs, then escalate the
-    # working precision until the deepest coefficient is stable.  A
+    # Floating path: escalate the working precision until the deepest
+    # coefficient is stable.  The inputs are converted afresh at every
+    # level, so the agreement check also covers their rounding.  A
     # positivity failure is only believed once two consecutive precision
     # levels report it at the same depth; otherwise it is retried.
-    mu = [v if isinstance(v, mpmath.mpf) else mpmath.mpf(v) for v in mu]
-    prec = max(128, 12 * K, precision_bits or 0)
+    prec = max(128, 12 * K, moments.precision_bits or 0, precision_bits or 0)
     prev = None
     while prec <= MAX_PRECISION_BITS:
         try:
             with mpmath.workprec(prec):
-                a, b2, violation = _recursion(mu, K, formal, exact=False)
+                a, b2, violation = _recursion([_mpf(v) for v in mu], K,
+                                              formal, exact=False)
             cur = ("ok", _finalize(a, b2, violation))
         except PositivityError as exc:
             cur = ("violation", exc)
@@ -312,8 +324,10 @@ def moments_to_lanczos(moments, K: int, precision_bits: int | None = None,
         Requested Krylov depth: returns ``a_0..a_(K-1)`` and ``b_1..b_(K-1)``.
         Terminates early (smaller K) when the Krylov space exhausts.
     precision_bits : int, optional
-        Floor for the working precision on the floating path.  Rational
-        inputs (int / Fraction entries) are converted exactly instead.
+        Floor for the working precision of the ``mpmath`` recursion.  A raw
+        sequence of rationals (int / Fraction) always takes the exact
+        ``Fraction`` recursion; a ``MomentSequence`` picks its route by its
+        own ``precision_bits`` (see there).
     formal : bool
         Continue through Hankel positivity violations with sign-carrying
         coefficients instead of raising ``PositivityError``.
@@ -337,7 +351,7 @@ def moments_to_lanczos(moments, K: int, precision_bits: int | None = None,
             f"depth K={K} needs moments through order {2 * K}, "
             f"got order {order}")
     if not isinstance(moments, MomentSequence):
-        moments = MomentSequence(values, precision_bits=precision_bits)
+        moments = MomentSequence(values)
     return _convert(moments, K, formal, precision_bits)
 
 

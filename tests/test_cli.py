@@ -336,3 +336,64 @@ def test_sector_assembly_failure_exits_3(tmp_path, monkeypatch, capsys):
                              "--out", str(tmp_path / "run")])
     assert code == 3
     assert "AssemblyError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("realizations, failing_call", [(1, 1), (2, 2)])
+def test_numerical_failure_leaves_no_run_directory(tmp_path, monkeypatch,
+                                                   realizations,
+                                                   failing_call):
+    # member 0 fails before the pool starts; member 1 fails inside it
+    kernel = lapack.dsytrd
+    calls = []
+
+    def failing_once(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        if len(calls) == failing_call:
+            n = a.shape[0]
+            return a, np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), 1
+        return kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dsytrd", failing_once)
+    out = tmp_path / "run"
+    code = spreadq.cli.main(["frm", "--dim", "30", "--realizations",
+                             str(realizations), "--tpoints", "20",
+                             "--out", str(out)])
+    assert code == 3
+    assert len(calls) == failing_call
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--threads", "0"),
+                                         ("--seed", "-1")])
+def test_model_rejects_unused_or_invalid_flags(tmp_path, flag, value):
+    proc = run_cli("model", "--variant", "gaussian", "--sigma0", "1",
+                   "--K", "8", "--tpoints", "20", flag, value,
+                   "--out", "never", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert flag in proc.stderr
+    assert not (tmp_path / "never").exists()
+
+
+def test_model_config_rejects_threads_key(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"threads": 2}))
+    proc = run_cli("model", "--config", "cfg.json", "--variant", "gaussian",
+                   "--sigma0", "1", "--K", "8", "--out", "never",
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "'threads'" in proc.stderr
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("variant, exact", [
+    (["interpolation", "--sigma0", "1.2", "--gamma", "0.5"], False),
+    (["gaussian", "--sigma0", "1"], True),
+])
+def test_model_moment_route(tmp_path, recursion_calls, variant, exact):
+    # interpolation moments take only the mpmath recursion, the closed
+    # forms the exact one
+    code = spreadq.cli.main(["model", "--variant", *variant, "--K", "16",
+                             "--tpoints", "20", "--out",
+                             str(tmp_path / "run")])
+    assert code == 0
+    assert recursion_calls
+    assert set(recursion_calls) == {exact}

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadq import (
     DomainError,
@@ -251,6 +253,42 @@ def test_interpolation_moments_match_exact_series():
     mus = moments_of_model(InterpolationAutocorr(1.2, 0.5), 8)
     for n, exact in INTERP_MOMENTS_S12.items():
         assert float(mus.values[n]) == pytest.approx(float(exact), rel=1e-9)
+
+
+def test_interpolation_moments_are_the_exact_series():
+    mus = moments_of_model(InterpolationAutocorr(2.0, 0.5), 12)
+    assert all(mus.values[n] == exact
+               for n, exact in INTERP_MOMENTS_S2.items())
+    assert all(mus.values[n] == 0 for n in range(1, 12, 2))
+    assert mus.is_exact()
+    # the table is for sigma0 = 6/5 exactly; the float 1.2 is a nearby
+    # dyadic, so the exact comparison takes rational parameters
+    mus = moments_of_model(
+        InterpolationAutocorr(Fraction(6, 5), Fraction(1, 2)), 8)
+    assert all(mus.values[n] == exact
+               for n, exact in INTERP_MOMENTS_S12.items())
+    assert all(mus.values[n] == 0 for n in range(1, 8, 2))
+
+
+def test_interpolation_moments_carry_the_mpmath_floor():
+    model = InterpolationAutocorr(1.2, 0.5)
+    assert moments_of_model(model, 8).precision_bits == 128
+    assert moments_of_model(model, 8, precision_bits=300).precision_bits \
+        == 300
+    assert moments_of_model(GaussianAutocorr(1.0), 8,
+                            precision_bits=300).precision_bits is None
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 64), st.integers(1, 64))
+def test_interpolation_low_moments_are_exact(m, n):
+    # dyadic sigma0, gamma in (0, 4]: mu_2 = sigma0^2 and
+    # mu_4 = 3 sigma0^4 + 12 sigma0^6 / gamma^2 hold as exact rationals
+    sigma0, gamma = m / 16, n / 16
+    mus = moments_of_model(InterpolationAutocorr(sigma0, gamma), 4).values
+    s2, g2 = Fraction(sigma0) ** 2, Fraction(gamma) ** 2
+    assert mus[2] == s2
+    assert mus[4] == 3 * s2**2 + 12 * s2**3 / g2
 
 
 def test_interpolation_second_moment_is_variance():

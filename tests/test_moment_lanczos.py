@@ -10,11 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadq import (
     DomainError,
     GaussianAutocorr,
     InsufficientMomentsError,
+    InterpolationAutocorr,
     LanczosCoefficients,
     MomentSequence,
     PositivityError,
@@ -213,3 +216,75 @@ def test_hankel_detects_truncated_quadratic_failure():
     hm = hankel_matrix(mus, 3)
     assert np.linalg.det(hm[:2, :2]) > 0
     assert np.linalg.det(hm) < 0
+
+
+def test_raw_rational_list_keeps_exact_route(recursion_calls):
+    # a precision floor never moves a raw list of rationals off the exact path
+    lc = moments_to_lanczos(point_mass_moments(16), 8, precision_bits=256)
+    assert recursion_calls == [True]
+    np.testing.assert_allclose(lc.a, PM_A_EXPECTED, rtol=1e-13)
+    np.testing.assert_allclose(lc.b, PM_B_EXPECTED, rtol=1e-13)
+
+
+@pytest.mark.parametrize("sigma0, gamma", [(1.2, 0.5), (0.8, 2.0)])
+def test_interpolation_floating_route_matches_exact_route(recursion_calls,
+                                                          sigma0, gamma):
+    moments = moments_of_model(InterpolationAutocorr(sigma0, gamma), 48)
+    floating = moments_to_lanczos(moments, 24)
+    assert recursion_calls and not any(recursion_calls)
+    exact = moments_to_lanczos(list(moments.values), 24)
+    assert recursion_calls[-1] is True
+    np.testing.assert_array_equal(floating.a, exact.a)
+    np.testing.assert_array_equal(floating.b, exact.b)
+
+
+def test_tagged_rationals_are_converted_at_every_precision_level():
+    # six atoms 1e-4 apart: rounding the moments once to the 128-bit floor
+    # puts b_5 off by a factor of ~26, so each level must convert afresh
+    nodes = [1 + Fraction(j, 10**4) for j in range(6)]
+    mu = [sum(x**n for x in nodes) / 6 for n in range(13)]
+    exact = moments_to_lanczos(mu, 6)
+    floating = moments_to_lanczos(MomentSequence(mu, precision_bits=128), 6)
+    np.testing.assert_array_equal(floating.a, exact.a)
+    np.testing.assert_array_equal(floating.b, exact.b)
+
+
+# derandomized and without an example database, so every run draws the
+# same examples
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+dyadic = st.integers(-64, 64).map(lambda i: i / 16)
+dyadic_positive = st.integers(1, 64).map(lambda i: i / 16)
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(lambda K: st.tuples(
+    st.lists(dyadic, min_size=K, max_size=K),
+    st.lists(dyadic_positive, min_size=K - 1, max_size=K - 1))))
+def test_roundtrip_is_exact_for_dyadic_jacobi_measures(coefficients):
+    # a K x K Jacobi matrix with dyadic a_n, b_n is a K-atom measure with
+    # rational moments; the exact path must give back a_n, b_n and so mu
+    a, b = coefficients
+    lc = LanczosCoefficients(np.array(a), np.array(b))
+    K = lc.K
+    mu = lanczos_to_moments(lc, 2 * K).values
+    back = moments_to_lanczos(mu, K)
+    np.testing.assert_array_equal(back.a, lc.a)
+    np.testing.assert_array_equal(back.b, lc.b)
+    assert lanczos_to_moments(back, 2 * K).values == mu
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=12),
+                          st.integers(1, 9)),
+                min_size=1, max_size=6, unique_by=lambda atom: atom[0]))
+def test_roundtrip_reproduces_rational_point_mass_moments(atoms):
+    # K atoms at rational nodes: depth K exhausts the measure, so the
+    # tridiagonal matrix reproduces every moment through order 2K
+    total = sum(w for _, w in atoms)
+    K = len(atoms)
+    mu = [sum(Fraction(w, total) * x**n for x, w in atoms)
+          for n in range(2 * K + 1)]
+    back = lanczos_to_moments(moments_to_lanczos(mu, K), 2 * K).as_array()
+    np.testing.assert_allclose(back, [float(m) for m in mu], rtol=1e-11,
+                               atol=1e-12)
