@@ -65,7 +65,6 @@ from .evolution import (
     LongTimeAverages,
     Spectrum,
     SpreadComplexitySeries,
-    default_time_grid,
     eigendecompose,
     evolve_amplitudes,
     long_time_average,

@@ -12,7 +12,6 @@ the conventions declared here:
   CURVATURE_LIMIT: a power law has none, a Gaussian is all curvature
 """
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,12 +300,11 @@ def detect_peak_plateau(series: SpreadComplexitySeries) -> dict:
             "ratio": c_peak / c_plateau}
 
 
-def ensemble_average(run, seeds, max_workers: int | None = None) \
-        -> EnsembleSeries:
-    """Run ``run(seed)`` per seed and average the resulting series.
+def ensemble_average(run, seeds) -> EnsembleSeries:
+    """Run ``run(seed)`` for each seed in turn and average the series.
 
-    Reduction happens in ascending-seed order whatever the execution
-    schedule, so results are bit-reproducible for any worker count.  A
+    Members run in the order of ``seeds``; reduction happens in
+    ascending-seed order, so the result does not depend on that order.  A
     failing member aborts the ensemble with its seed identified.
     """
     seeds = [int(s) for s in seeds]
@@ -315,19 +313,14 @@ def ensemble_average(run, seeds, max_workers: int | None = None) \
     if len(set(seeds)) != len(seeds):
         raise FitError("duplicate seeds in ensemble")
 
-    def call(seed):
+    results = {}
+    for seed in seeds:
         try:
-            return seed, run(seed)
+            results[seed] = run(seed)
         except Exception as exc:
             raise EnsembleMemberError(
                 f"realization with seed {seed} failed: {exc}",
                 seed=seed) from exc
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = dict(pool.map(call, seeds))
-    else:
-        results = dict(call(s) for s in seeds)
 
     ordered = sorted(seeds)
     first = results[ordered[0]]

@@ -14,9 +14,9 @@ success, 2 for configuration errors, 3 for numerical failures.
 
 All randomness flows from the master ``--seed``; ensemble member r uses
 counter stream r, so member sets are reproducible and order-independent.
-Identical resolved config and seed give byte-identical data files for any
-``--threads``.  ``manifest.json`` (config hash, seeds, package versions,
-wall time) is the only file exempt from byte identity.
+Identical resolved config and seed give byte-identical data files.
+``manifest.json`` (config hash, seeds, package versions, wall time) is the
+only file exempt from byte identity.
 """
 
 from __future__ import annotations
@@ -62,7 +62,11 @@ from .hamiltonians import (
 )
 from .matrix_lanczos import householder_hessenberg, lanczos_tridiagonalize
 from .models import eval_b2, model_from_dict, moments_of_model
-from .moment_lanczos import LanczosCoefficients, moments_to_lanczos
+from .moment_lanczos import (
+    MAX_PRECISION_BITS,
+    LanczosCoefficients,
+    moments_to_lanczos,
+)
 
 AMPLITUDE_VARIANTS = ("gaussian", "semicircle", "interpolation",
                       "truncated_quadratic")
@@ -93,14 +97,12 @@ DEFAULTS = {
     },
     "frm": {
         **_COMMON_DEFAULTS,
-        "threads": 1,
         "dim": None,
         "realizations": 3,
         "depth": None,
     },
     "spin": {
         **_COMMON_DEFAULTS,
-        "threads": 1,
         "L": None,
         "h": None,
         "g": 1.0,
@@ -158,13 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="working precision floor for the moment "
                          "pipeline")
 
-    def add_threads(p):
-        p.add_argument("--threads", type=int,
-                       help="worker threads for ensemble members")
-
     p_frm = sub.add_parser("frm", help="dense random-matrix ensemble")
     add_common(p_frm)
-    add_threads(p_frm)
     p_frm.add_argument("--dim", type=int, help="matrix dimension")
     p_frm.add_argument("--realizations", type=int,
                        help="number of ensemble members")
@@ -173,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_spin = sub.add_parser("spin", help="disordered-chain ensemble")
     add_common(p_spin)
-    add_threads(p_spin)
     p_spin.add_argument("--L", type=int, help="even chain length")
     p_spin.add_argument("--h", type=float, help="disorder strength")
     p_spin.add_argument("--g", type=float, help="coupling quenched on at t=0")
@@ -293,13 +289,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_series_csv(path: Path, times, C, F) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,C,F\n")
-        for t, c, f in zip(times, C, F):
-            fh.write(f"{t:.17g},{c:.17g},{f:.17g}\n")
-
-
 def _write_ensemble_csv(path: Path, ens) -> None:
     with open(path, "w") as fh:
         fh.write("t,C,F,C_stderr,F_stderr\n")
@@ -310,8 +299,7 @@ def _write_ensemble_csv(path: Path, ens) -> None:
 
 def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
                     started: float) -> None:
-    hashed = {k: v for k, v in sorted(config.items())
-              if k not in ("out", "threads")}
+    hashed = {k: v for k, v in sorted(config.items()) if k != "out"}
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"),
                       default=str)
     _write_json(out / "manifest.json", {
@@ -350,15 +338,18 @@ def _cmd_model(config: dict) -> None:
     variant = _require(config, "variant", "--variant")
     depth = _check_positive_int("--K", config["depth"])
     seed = _check_seed(config["seed"])
+    bits = config["precision_bits"]
+    if bits is not None and not (isinstance(bits, (int, np.integer))
+                                 and 1 <= bits <= MAX_PRECISION_BITS):
+        raise DomainError(f"--precision-bits must be an integer in "
+                          f"1..{MAX_PRECISION_BITS}, got {bits}")
     params = {"variant": variant}
     for key in ("sigma0", "alpha", "gamma"):
         if config[key] is not None:
             params[key] = config[key]
     model = model_from_dict(params)
-    moments = moments_of_model(model, 2 * depth,
-                               precision_bits=config["precision_bits"])
-    lc = moments_to_lanczos(moments, depth,
-                            precision_bits=config["precision_bits"],
+    moments = moments_of_model(model, 2 * depth, precision_bits=bits)
+    lc = moments_to_lanczos(moments, depth, precision_bits=bits,
                             formal=config["formal"])
 
     out = _out_dir(config, "model")
@@ -396,50 +387,48 @@ def _cmd_model(config: dict) -> None:
 def _ensemble_pipeline(config: dict, command: str, build_lc):
     """Shared frm/spin flow: member coefficients, series, mean profiles.
 
-    ``build_lc(stream)`` returns the coefficient set of one member.  The
-    time grid is fixed by member 0 before the pool starts, so results do
-    not depend on ``--threads``.  Each member's task diagonalizes its T
-    once, for both its series and its long-time averages, and drops the
-    spectrum when it ends; member 0's spectrum also sets the grid end.
-    The output directory is created only once every member has finished,
-    so a failing member leaves nothing on disk.
+    ``build_lc(stream)`` returns the coefficient set of one member.
+    Members run one after another in stream order.  Each member's task
+    diagonalizes its T once, for both its series and its long-time
+    averages, and drops the spectrum when it ends, so one member spectrum
+    is alive at a time.  Member 0's spectrum also sets the grid end.  The
+    output directory is created only once every member has finished, so a
+    failing member leaves nothing on disk.
     """
     realizations = _check_positive_int("--realizations",
                                        config["realizations"])
-    threads = _check_positive_int("--threads", config["threads"])
     streams = list(range(realizations))
-    coefficient_sets: dict[int, LanczosCoefficients] = {}
     averages: dict[int, LongTimeAverages] = {}
 
     lc0 = build_lc(0)
-    coefficient_sets[0] = lc0
     if lc0.K < 2:
         raise DomainError("member 0 has Krylov dimension 1; nothing to fit")
+    coefficient_sets = {0: lc0}
     # member 0's task pops its spectrum, so it is freed when that task ends
-    spectra = {0: eigendecompose(lc0)}
+    spectra = [eigendecompose(lc0)]
     sigma_ref = float(lc0.b[0])
     times = _time_grid(config, sigma_ref,
                        _auto_tmax(spectra[0].values, sigma_ref))
 
     def run(stream: int):
-        lc = coefficient_sets.get(stream)
-        if lc is None:
-            lc = build_lc(stream)
-            coefficient_sets[stream] = lc
-        spectrum = spectra.pop(stream) if stream in spectra \
-            else eigendecompose(lc)
+        if stream == 0:
+            spectrum = spectra.pop()
+        else:
+            coefficient_sets[stream] = build_lc(stream)
+            spectrum = eigendecompose(coefficient_sets[stream])
         series = spread_complexity(evolve_amplitudes(spectrum, times))
         averages[stream] = long_time_average(spectrum)
         return series
 
-    ens = ensemble_average(run, streams, max_workers=threads)
+    ens = ensemble_average(run, streams)
 
     out = _out_dir(config, command)
     # ensemble rows are ordered by stream, so member series come for free
     for stream in streams:
         coefficient_sets[stream].to_csv(out / f"coeffs_{stream:04d}.csv")
-        _write_series_csv(out / f"series_{stream:04d}.csv", ens.times,
-                          ens.members_C[stream], ens.members_F[stream])
+        SpreadComplexitySeries(
+            times=ens.times, C=ens.members_C[stream],
+            F=ens.members_F[stream]).to_csv(out / f"series_{stream:04d}.csv")
 
     depth_min = min(coefficient_sets[s].K for s in streams)
     mean_a = np.mean([coefficient_sets[s].a[:depth_min] for s in streams],

@@ -32,7 +32,6 @@ from .moment_lanczos import LanczosCoefficients
 UNITARITY_ATOL = 1e-10
 INTEGRITY_ATOL = 1e-8
 DEGENERACY_RTOL = 1e-12
-DEFAULT_GRID_POINTS = 600
 # Krylov rows per block of the long-time average's overlap reduction
 AVERAGE_ROW_BLOCK = 256
 
@@ -196,16 +195,6 @@ def long_time_average(source) -> LongTimeAverages:
         weights[rows] = np.sum(block_sums ** 2, axis=1)
     c_bar = float(np.arange(spectrum.K) @ weights)
     return LongTimeAverages(c_bar=c_bar, f_bar=float(weights[0]))
-
-
-def default_time_grid(sigma0: float, points: int = DEFAULT_GRID_POINTS) \
-        -> np.ndarray:
-    """Logarithmic grid covering 1e-2 to 1e3 in units of 1/sigma0."""
-    if not sigma0 > 0:
-        raise DomainError(f"sigma0 must be positive, got {sigma0}")
-    if points < 2:
-        raise DomainError(f"need at least 2 grid points, got {points}")
-    return np.geomspace(1e-2 / sigma0, 1e3 / sigma0, points)
 
 
 def write_sidecar(avg: LongTimeAverages, depth: int, path) -> None:

@@ -280,6 +280,10 @@ def _convert(moments: MomentSequence, K, formal,
     # positivity failure is only believed once two consecutive precision
     # levels report it at the same depth; otherwise it is retried.
     prec = max(128, 12 * K, moments.precision_bits or 0, precision_bits or 0)
+    if prec > MAX_PRECISION_BITS:
+        raise DomainError(
+            f"working precision floor {prec} bits exceeds the ceiling of "
+            f"{MAX_PRECISION_BITS} bits")
     prev = None
     while prec <= MAX_PRECISION_BITS:
         try:
@@ -338,6 +342,9 @@ def moments_to_lanczos(moments, K: int, precision_bits: int | None = None,
         If fewer than ``2K + 1`` moment values are available.
     PositivityError
         If some ``b_n^2 < 0`` and ``formal`` is not set.
+    DomainError
+        If the floating route's starting precision (``12 K`` bits or a
+        precision floor) already exceeds ``MAX_PRECISION_BITS``.
     PrecisionError
         If precision escalation hits its ceiling without convergence.
     """

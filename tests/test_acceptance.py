@@ -68,10 +68,10 @@ def saturation_grid(lc, points: int) -> np.ndarray:
     return np.geomspace(1e-2 / lc.b[0], t_end, points)
 
 
-def mean_spread_series(members: dict, times: np.ndarray, workers: int = 4):
+def mean_spread_series(members: dict, times: np.ndarray):
     def run(stream):
         return spread_complexity(evolve_amplitudes(members[stream], times))
-    ens = ensemble_average(run, sorted(members), max_workers=workers)
+    ens = ensemble_average(run, sorted(members))
     return ens, SpreadComplexitySeries(times=ens.times, C=ens.mean_C,
                                        F=ens.mean_F)
 

@@ -240,15 +240,15 @@ def test_ensemble_single_member_is_identity():
     assert ens.seeds == (7,)
 
 
-def test_ensemble_deterministic_across_worker_counts():
+def test_ensemble_reduces_in_ascending_seed_order():
     times = np.linspace(0.0, 1.0, 50)
     seeds = [5, 3, 11, 2, 8, 13]
-    serial = ensemble_average(lambda s: _noisy_run(s, times), seeds)
-    threaded = ensemble_average(lambda s: _noisy_run(s, times), seeds,
-                                max_workers=4)
-    np.testing.assert_array_equal(serial.mean_C, threaded.mean_C)
-    np.testing.assert_array_equal(serial.stderr_F, threaded.stderr_F)
-    assert serial.seeds == threaded.seeds == (2, 3, 5, 8, 11, 13)
+    shuffled = ensemble_average(lambda s: _noisy_run(s, times), seeds)
+    ordered = ensemble_average(lambda s: _noisy_run(s, times), sorted(seeds))
+    np.testing.assert_array_equal(shuffled.members_C, ordered.members_C)
+    np.testing.assert_array_equal(shuffled.mean_C, ordered.mean_C)
+    np.testing.assert_array_equal(shuffled.stderr_F, ordered.stderr_F)
+    assert shuffled.seeds == ordered.seeds == (2, 3, 5, 8, 11, 13)
 
 
 def test_ensemble_stderr_scaling():

@@ -138,22 +138,6 @@ def test_spin_odd_length_is_config_error(tmp_path):
     assert "even" in proc.stderr
 
 
-def test_thread_count_does_not_change_output_bytes(tmp_path):
-    for label, threads in (("one", "1"), ("four", "4")):
-        proc = run_cli("spin", "--L", "6", "--h", "0.3",
-                       "--realizations", "3", "--threads", threads,
-                       "--tpoints", "40", "--out", label, cwd=tmp_path)
-        assert proc.returncode == 0, proc.stderr
-    for name in ("coeffs_mean.csv", "ensemble.csv", "series_0001.csv",
-                 "variances.json", "fits.json", "hist_b.csv"):
-        one = (tmp_path / "one" / name).read_bytes()
-        four = (tmp_path / "four" / name).read_bytes()
-        assert one == four, f"{name} differs across thread counts"
-    h1 = json.loads((tmp_path / "one" / "manifest.json").read_text())
-    h4 = json.loads((tmp_path / "four" / "manifest.json").read_text())
-    assert h1["config_sha256"] == h4["config_sha256"]
-
-
 def test_reruns_are_byte_identical(tmp_path):
     for label in ("first", "second"):
         proc = run_cli("frm", "--dim", "30", "--realizations", "2",
@@ -342,7 +326,7 @@ def test_sector_assembly_failure_exits_3(tmp_path, monkeypatch, capsys):
 def test_numerical_failure_leaves_no_run_directory(tmp_path, monkeypatch,
                                                    realizations,
                                                    failing_call):
-    # member 0 fails before the pool starts; member 1 fails inside it
+    # member 0 fails before the grid is fixed; member 1 fails after it
     kernel = lapack.dsytrd
     calls = []
 
@@ -363,11 +347,28 @@ def test_numerical_failure_leaves_no_run_directory(tmp_path, monkeypatch,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--threads", "0"),
-                                         ("--seed", "-1")])
-def test_model_rejects_unused_or_invalid_flags(tmp_path, flag, value):
-    proc = run_cli("model", "--variant", "gaussian", "--sigma0", "1",
-                   "--K", "8", "--tpoints", "20", flag, value,
+GAUSSIAN = ("model", "--variant", "gaussian", "--sigma0", "1", "--K", "8")
+INTERPOLATION = ("model", "--variant", "interpolation", "--sigma0", "1.2",
+                 "--gamma", "0.5", "--K", "8")
+FRM = ("frm", "--dim", "30", "--realizations", "1")
+SPIN = ("spin", "--L", "4", "--h", "0.1", "--realizations", "1")
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param(GAUSSIAN, "--threads", "0", id="--threads-0"),
+    pytest.param(GAUSSIAN, "--seed", "-1", id="--seed--1"),
+    pytest.param(GAUSSIAN, "--precision-bits", "-5",
+                 id="--precision-bits--5"),
+    pytest.param(GAUSSIAN, "--precision-bits", "0", id="--precision-bits-0"),
+    pytest.param(INTERPOLATION, "--precision-bits", "100000",
+                 id="--precision-bits-100000"),
+    pytest.param(FRM, "--threads", "2", id="frm---threads-2"),
+    pytest.param(SPIN, "--threads", "2", id="spin---threads-2"),
+])
+def test_model_rejects_unused_or_invalid_flags(tmp_path, command, flag,
+                                               value):
+    # frm and spin run their members in turn and take no --threads either
+    proc = run_cli(*command, "--tpoints", "20", flag, value,
                    "--out", "never", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert flag in proc.stderr
@@ -378,6 +379,16 @@ def test_model_config_rejects_threads_key(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps({"threads": 2}))
     proc = run_cli("model", "--config", "cfg.json", "--variant", "gaussian",
                    "--sigma0", "1", "--K", "8", "--out", "never",
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "'threads'" in proc.stderr
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("command", [FRM, SPIN], ids=["frm", "spin"])
+def test_ensemble_config_rejects_threads_key(tmp_path, command):
+    (tmp_path / "cfg.json").write_text(json.dumps({"threads": 2}))
+    proc = run_cli(*command, "--config", "cfg.json", "--out", "never",
                    cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "'threads'" in proc.stderr

@@ -17,7 +17,6 @@ from spreadq.evolution import (
     LongTimeAverages,
     Spectrum,
     SpreadComplexitySeries,
-    default_time_grid,
     eigendecompose,
     evolve_amplitudes,
     long_time_average,
@@ -197,16 +196,6 @@ def test_series_validation_and_bounds():
                                     F=np.array([1.0 + 1e-14]))
     assert series.C[0] == 0.0
     assert series.F[0] == 1.0
-
-
-def test_default_time_grid_shape():
-    grid = default_time_grid(2.0)
-    assert grid.size == 600
-    assert grid[0] == pytest.approx(0.005, rel=1e-12)
-    assert grid[-1] == pytest.approx(500.0, rel=1e-12)
-    assert np.all(np.diff(grid) > 0)
-    with pytest.raises(DomainError):
-        default_time_grid(0.0)
 
 
 def test_series_csv_and_sidecar(tmp_path):

@@ -226,6 +226,13 @@ def test_raw_rational_list_keeps_exact_route(recursion_calls):
     np.testing.assert_allclose(lc.b, PM_B_EXPECTED, rtol=1e-13)
 
 
+def test_precision_floor_above_ceiling_is_domain_error():
+    # the escalation could not make a single pass, so the floor is at fault
+    floats = [float(m) for m in point_mass_moments(16)]
+    with pytest.raises(DomainError):
+        moments_to_lanczos(floats, 8, precision_bits=1 << 15)
+
+
 @pytest.mark.parametrize("sigma0, gamma", [(1.2, 0.5), (0.8, 2.0)])
 def test_interpolation_floating_route_matches_exact_route(recursion_calls,
                                                           sigma0, gamma):
