@@ -55,10 +55,9 @@ from .hamiltonians import (
 )
 from .matrix_lanczos import (
     householder_hessenberg,
+    householder_kernel,
     lanczos_tridiagonalize,
-    read_basis_binary,
     spectral_norm_estimate,
-    write_basis_binary,
 )
 from .evolution import (
     KrylovAmplitudes,

@@ -15,8 +15,9 @@ success, 2 for configuration errors, 3 for numerical failures.
 All randomness flows from the master ``--seed``; ensemble member r uses
 counter stream r, so member sets are reproducible and order-independent.
 Identical resolved config and seed give byte-identical data files.
-``manifest.json`` (config hash, seeds, package versions, wall time) is the
-only file exempt from byte identity.
+``manifest.json`` (config hash, seeds, package versions, wall time and, for
+``frm`` and ``spin``, the tridiagonalization kernel) is the only file exempt
+from byte identity.
 """
 
 from __future__ import annotations
@@ -60,7 +61,11 @@ from .hamiltonians import (
     domain_wall_state,
     sample_goe,
 )
-from .matrix_lanczos import householder_hessenberg, lanczos_tridiagonalize
+from .matrix_lanczos import (
+    householder_hessenberg,
+    householder_kernel,
+    lanczos_tridiagonalize,
+)
 from .models import eval_b2, model_from_dict, moments_of_model
 from .moment_lanczos import (
     MAX_PRECISION_BITS,
@@ -298,11 +303,12 @@ def _write_ensemble_csv(path: Path, ens) -> None:
 
 
 def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
-                    started: float) -> None:
+                    started: float, tridiagonalization: str | None = None
+                    ) -> None:
     hashed = {k: v for k, v in sorted(config.items()) if k != "out"}
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"),
                       default=str)
-    _write_json(out / "manifest.json", {
+    manifest = {
         "command": command,
         "config": {k: config[k] for k in sorted(config)},
         "config_sha256": hashlib.sha256(blob.encode()).hexdigest(),
@@ -315,7 +321,15 @@ def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
             "mpmath": mpmath.__version__,
         },
         "wall_time_s": time.perf_counter() - started,
-    })
+    }
+    if tridiagonalization is not None:
+        manifest["tridiagonalization"] = tridiagonalization
+    _write_json(out / "manifest.json", manifest)
+
+
+def _tridiagonalization(depth: int | None) -> str:
+    """Kernel of the frm/spin coefficient route, for the manifest."""
+    return householder_kernel() if depth is None else "lanczos"
 
 
 def _peak_plateau_entry(series) -> dict:
@@ -485,7 +499,8 @@ def _cmd_frm(config: dict) -> None:
     }
     _write_json(out / "fits.json", fits)
     _write_manifest(out, "frm", config,
-                    {"master": seed, "streams": streams}, started)
+                    {"master": seed, "streams": streams}, started,
+                    _tridiagonalization(depth))
 
 
 def _cmd_spin(config: dict) -> None:
@@ -530,7 +545,8 @@ def _cmd_spin(config: dict) -> None:
     }
     _write_json(out / "fits.json", fits)
     _write_manifest(out, "spin", config,
-                    {"master": seed, "streams": streams}, started)
+                    {"master": seed, "streams": streams}, started,
+                    _tridiagonalization(depth))
 
     if config["compare_smaller"]:
         if spec.L - 2 < 2:

@@ -6,19 +6,25 @@ Two independent routes to the same coefficients:
   reorthogonalization (two Gram-Schmidt passes against every previous basis
   vector) each step.  Reference for partial depth K < dimension.
 - ``householder_hessenberg``: rotate psi0 onto e1 with one reflector (an
-  index swap when psi0 is a basis vector), then LAPACK dsytrd.  The dsytrd
-  reflectors all leave e1 fixed, so the first basis vector of the combined
-  transform stays (up to sign) psi0.  Reference for full-depth coefficient
-  profiles; backward-stable at any dimension.
+  index swap when psi0 is a basis vector), then LAPACK's two-stage
+  reduction ``dsytrd_2stage`` (full matrix to band with level-3 BLAS, band
+  to tridiagonal by bulge chasing), or one-stage ``dsytrd`` where scipy's
+  LAPACK library lacks it.  With the lower triangle stored, both reductions
+  transform only rows and columns 2..n, so e1 stays fixed and the first
+  basis vector of the combined transform stays (up to sign) psi0.
+  Reference for full-depth coefficient profiles; backward-stable at any
+  dimension.
 
-Both truncate at the first sub-diagonal entry below 1e-12 * ||H|| (spectral
-norm estimated by power iteration): past a decoupling the tridiagonal block
-no longer describes the Krylov space of psi0.
+Both truncate at the first sub-diagonal entry below 1e-12 * ||H||: past a
+decoupling the tridiagonal block no longer describes the Krylov space of
+psi0.  The Lanczos path estimates ||H|| by power iteration; the Householder
+path takes it exactly from the end eigenvalues of its full tridiagonal,
+which is orthogonally similar to H.
 """
-import struct
+import ctypes
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import _flapack, eigvalsh_tridiagonal, lapack
 
 from .errors import DomainError, LapackError, NormalizationError
 from .hamiltonians import SectorHamiltonian, StateVector
@@ -27,9 +33,61 @@ from .moment_lanczos import LanczosCoefficients
 TERMINATION_RTOL = 1e-12
 POWER_ITERATIONS = 30
 
-BASIS_MAGIC = b"KSB1"
-# magic, u32 rows, u32 cols, 4 reserved bytes
-_BASIS_HEADER = struct.Struct("<4sII4x")
+
+def _bind_dsytrd_2stage():
+    """LAPACK ``dsytrd_2stage`` from scipy's LAPACK library, or None.
+
+    scipy links the routine but does not wrap it, so it is called through
+    ctypes: LP64 ``int`` arguments, as in scipy's own wrappers, and the two
+    trailing ``size_t`` lengths of the character arguments.  The returned
+    function reduces the lower triangle of a Fortran-ordered float64 square
+    array in place (``VECT='N'``, ``UPLO='L'``) and returns ``(d, e, info)``.
+    """
+    lib = ctypes.CDLL(_flapack.__file__)
+    for symbol in ("scipy_dsytrd_2stage_", "dsytrd_2stage_"):
+        routine = getattr(lib, symbol, None)
+        if routine is not None:
+            break
+    else:
+        return None
+    square = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    int_p = ctypes.POINTER(ctypes.c_int)
+    # VECT, UPLO, N, A, LDA, D, E, TAU, HOUS2, LHOUS2, WORK, LWORK, INFO
+    routine.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, square,
+                        int_p, vector, vector, vector, vector, int_p, vector,
+                        int_p, int_p, ctypes.c_size_t, ctypes.c_size_t]
+    routine.restype = None
+
+    def dsytrd_2stage(a):
+        n = a.shape[0]
+        if a.shape != (n, n) or n < 2:
+            raise DomainError(f"dsytrd_2stage needs a square array of "
+                              f"order >= 2, got shape {a.shape}")
+        n_c, info, query = ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(-1)
+        d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        hous2, work = np.empty(1), np.empty(1)
+        routine(b"N", b"L", n_c, a, n_c, d, e, tau, hous2, query, work, query,
+                info, 1, 1)
+        if info.value == 0:
+            lhous2, lwork = int(hous2[0]), int(work[0])
+            hous2, work = np.empty(lhous2), np.empty(lwork)
+            routine(b"N", b"L", n_c, a, n_c, d, e, tau, hous2,
+                    ctypes.c_int(lhous2), work, ctypes.c_int(lwork), info,
+                    1, 1)
+        return d, e, info.value
+
+    return dsytrd_2stage
+
+
+# None when the library lacks the routine; householder_hessenberg then
+# falls back to lapack.dsytrd
+_dsytrd_2stage = _bind_dsytrd_2stage()
+
+
+def householder_kernel() -> str:
+    """Name of the LAPACK reduction ``householder_hessenberg`` runs."""
+    return "dsytrd" if _dsytrd_2stage is None else "dsytrd_2stage"
 
 
 def _unpack(ham, psi0):
@@ -107,17 +165,22 @@ def lanczos_tridiagonalize(ham, psi0, K: int, return_basis: bool = False):
 
 
 def householder_hessenberg(ham, psi0) -> LanczosCoefficients:
-    """Full-depth tridiagonalization via one reflector plus LAPACK dsytrd.
+    """Full-depth tridiagonalization via one reflector plus LAPACK.
 
     Real symmetric input only.  Sub-diagonal entries are made non-negative
     (diagonal sign flips leave the coefficients' physics unchanged) and the
-    profile is truncated at the first decoupling, as in the Lanczos path.
+    profile is truncated at the first decoupling, as in the Lanczos path,
+    with ||H|| taken exactly from the extreme eigenvalues of the full
+    tridiagonal.
 
     When psi0 is a multiple of a basis vector e_j, the reflector is the
     symmetric swap of indices 0 and j (a plain copy for j = 0): its sign
     flips do not change a_n or |b_n|, so no rank-2 update is formed.  Any
-    other psi0 takes the reflector route.  Either way dsytrd reduces one
-    private copy in place; the caller's H is never written.
+    other psi0 takes the reflector route.  Either way the reduction
+    (``dsytrd_2stage``, or ``dsytrd`` where that is missing; see
+    ``householder_kernel``) works in place on one private copy; the
+    caller's H is never written.  A nonzero LAPACK ``info`` raises
+    ``LapackError``.
     """
     matrix, start = _unpack(ham, psi0)
     if np.iscomplexobj(matrix) or np.iscomplexobj(start):
@@ -151,41 +214,24 @@ def householder_hessenberg(ham, psi0) -> LanczosCoefficients:
         rotated = (rotated + rotated.T) / 2.0
 
     # rotated is symmetric and C-ordered, so its transpose is the same
-    # matrix in Fortran order: dsytrd overwrites it without another copy
-    _, d, e, _, info = lapack.dsytrd(rotated.T, lower=1, overwrite_a=1)
+    # matrix in Fortran order: the reduction overwrites it without another
+    # copy
+    if _dsytrd_2stage is None:
+        _, d, e, _, info = lapack.dsytrd(rotated.T, lower=1, overwrite_a=1)
+    else:
+        d, e, info = _dsytrd_2stage(rotated.T)
     if info != 0:
-        raise LapackError(f"dsytrd failed with info={info}")
+        raise LapackError(f"{householder_kernel()} failed with info={info}")
     diag = np.asarray(d, dtype=float)
     off = np.abs(np.asarray(e, dtype=float))
 
-    tol = TERMINATION_RTOL * spectral_norm_estimate(matrix)
+    # the full tridiagonal is orthogonally similar to H: its end
+    # eigenvalues give ||H||_2 exactly
+    norm = max(abs(eigvalsh_tridiagonal(diag, off, select="i",
+                                        select_range=(i, i))[0])
+               for i in (0, n - 1))
+    tol = TERMINATION_RTOL * norm
     cut = np.nonzero(off <= tol)[0]
     k_actual = int(cut[0]) + 1 if cut.size else n
     return LanczosCoefficients(a=diag[:k_actual], b=off[:k_actual - 1],
                                physical=True)
-
-
-def write_basis_binary(basis: np.ndarray, path) -> None:
-    """Krylov basis dump: row-major float64 little-endian, 16-byte header."""
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2:
-        raise DomainError("basis must be a 2-d array")
-    rows, cols = basis.shape
-    with open(path, "wb") as fh:
-        fh.write(_BASIS_HEADER.pack(BASIS_MAGIC, rows, cols))
-        fh.write(basis.astype("<f8").tobytes())
-
-
-def read_basis_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(_BASIS_HEADER.size)
-        if len(header) != _BASIS_HEADER.size:
-            raise DomainError(f"{path}: truncated header")
-        magic, rows, cols = _BASIS_HEADER.unpack(header)
-        if magic != BASIS_MAGIC:
-            raise DomainError(f"{path}: bad magic {magic!r}")
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    if payload.size != rows * cols:
-        raise DomainError(f"{path}: expected {rows * cols} entries, got "
-                          f"{payload.size}")
-    return payload.reshape(rows, cols).copy()

@@ -8,7 +8,6 @@ verbose run reads as one pass/fail line per criterion.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -80,9 +79,7 @@ def mean_spread_series(members: dict, times: np.ndarray):
 def goe_data():
     dim, realizations = 1000, 10
     streams = list(range(realizations))
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        members = dict(zip(streams, pool.map(
-            lambda s: build_goe_member(dim, s), streams)))
+    members = {s: build_goe_member(dim, s) for s in streams}
     times = saturation_grid(members[0], points=600)
     ens, mean_series = mean_spread_series(members, times)
     return {
@@ -101,9 +98,7 @@ def goe_data():
 @pytest.fixture(scope="module")
 def spin_chaotic():
     streams = list(range(20))
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        members = dict(zip(streams, pool.map(
-            lambda s: build_spin_member(14, 0.4, s), streams)))
+    members = {s: build_spin_member(14, 0.4, s) for s in streams}
     times = saturation_grid(members[0], points=400)
     ens, mean_series = mean_spread_series(members, times)
     return {
@@ -118,9 +113,7 @@ def spin_chaotic():
 @pytest.fixture(scope="module")
 def spin_intermediate():
     streams = list(range(20))
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        members = dict(zip(streams, pool.map(
-            lambda s: build_spin_member(14, 4.5, s), streams)))
+    members = {s: build_spin_member(14, 4.5, s) for s in streams}
     return {
         "var_a": float(np.mean([np.var(members[s].a) for s in streams])),
         "var_b": float(np.mean([np.var(members[s].b) for s in streams])),

@@ -19,6 +19,7 @@ from scipy.linalg import lapack
 
 import spreadq
 import spreadq.cli
+from spreadq import matrix_lanczos
 
 # Directory holding the spreadq package this process imported (``src/`` or
 # site-packages). It goes first on the child's PYTHONPATH, so the child runs
@@ -295,17 +296,39 @@ def test_model_diagonalizes_once(tmp_path, eigensolve_calls):
 
 
 def test_dsytrd_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def failing(a, *args, **kwargs):
+    # the two-stage binding reports a nonzero info
+    def failing(a):
         n = a.shape[0]
-        return a, np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), 1
+        return np.zeros(n), np.zeros(n - 1), 1
 
-    monkeypatch.setattr(lapack, "dsytrd", failing)
+    monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", failing)
     code = spreadq.cli.main(["frm", "--dim", "30", "--realizations", "1",
                              "--tpoints", "20", "--out",
                              str(tmp_path / "run")])
     assert code == 3
     err = capsys.readouterr().err
     assert "LapackError" in err and "info=1" in err
+
+
+def test_dsytrd_fallback_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # without the two-stage routine, lapack.dsytrd runs and its info counts
+    calls = []
+
+    def failing(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        n = a.shape[0]
+        return a, np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), 1
+
+    monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", None)
+    monkeypatch.setattr(lapack, "dsytrd", failing)
+    out = tmp_path / "run"
+    code = spreadq.cli.main(["frm", "--dim", "30", "--realizations", "1",
+                             "--tpoints", "20", "--out", str(out)])
+    assert code == 3
+    assert calls == [30]
+    err = capsys.readouterr().err
+    assert "LapackError" in err and "dsytrd failed with info=1" in err
+    assert not out.exists()
 
 
 def test_sector_assembly_failure_exits_3(tmp_path, monkeypatch, capsys):
@@ -327,17 +350,17 @@ def test_numerical_failure_leaves_no_run_directory(tmp_path, monkeypatch,
                                                    realizations,
                                                    failing_call):
     # member 0 fails before the grid is fixed; member 1 fails after it
-    kernel = lapack.dsytrd
+    kernel = matrix_lanczos._dsytrd_2stage
     calls = []
 
-    def failing_once(a, *args, **kwargs):
+    def failing_once(a):
         calls.append(a.shape[0])
         if len(calls) == failing_call:
             n = a.shape[0]
-            return a, np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), 1
-        return kernel(a, *args, **kwargs)
+            return np.zeros(n), np.zeros(n - 1), 1
+        return kernel(a)
 
-    monkeypatch.setattr(lapack, "dsytrd", failing_once)
+    monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", failing_once)
     out = tmp_path / "run"
     code = spreadq.cli.main(["frm", "--dim", "30", "--realizations",
                              str(realizations), "--tpoints", "20",
@@ -352,6 +375,28 @@ INTERPOLATION = ("model", "--variant", "interpolation", "--sigma0", "1.2",
                  "--gamma", "0.5", "--K", "8")
 FRM = ("frm", "--dim", "30", "--realizations", "1")
 SPIN = ("spin", "--L", "4", "--h", "0.1", "--realizations", "1")
+
+
+@pytest.mark.parametrize("command, two_stage, kernel", [
+    pytest.param(FRM, True, "dsytrd_2stage", id="frm"),
+    pytest.param(SPIN, True, "dsytrd_2stage", id="spin"),
+    pytest.param(FRM, False, "dsytrd", id="frm-fallback"),
+    pytest.param(FRM + ("--K", "5"), True, "lanczos", id="frm-K"),
+    pytest.param(SPIN + ("--K", "3"), True, "lanczos", id="spin-K"),
+    pytest.param(GAUSSIAN, True, None, id="model"),
+])
+def test_manifest_records_tridiagonalization(tmp_path, monkeypatch, command,
+                                             two_stage, kernel):
+    # only frm and spin reduce a matrix; model has no such entry
+    if two_stage and matrix_lanczos._dsytrd_2stage is None:
+        pytest.skip("scipy's LAPACK library lacks dsytrd_2stage")
+    if not two_stage:
+        monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", None)
+    out = tmp_path / "run"
+    assert spreadq.cli.main([*command, "--tpoints", "20",
+                             "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest.get("tridiagonalization") == kernel
 
 
 @pytest.mark.parametrize("command, flag, value", [

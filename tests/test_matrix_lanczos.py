@@ -6,8 +6,14 @@ implementations against each other.
 """
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from spreadq import DomainError, NormalizationError, moments_to_lanczos
+from spreadq import (
+    DomainError,
+    NormalizationError,
+    matrix_lanczos,
+    moments_to_lanczos,
+)
 from spreadq.hamiltonians import (
     SpinChainSpec,
     build_spin_sector,
@@ -17,10 +23,9 @@ from spreadq.hamiltonians import (
 )
 from spreadq.matrix_lanczos import (
     householder_hessenberg,
+    householder_kernel,
     lanczos_tridiagonalize,
-    read_basis_binary,
     spectral_norm_estimate,
-    write_basis_binary,
 )
 
 
@@ -191,18 +196,6 @@ def test_spectral_norm_estimate_close():
     assert est > 0.8 * true
 
 
-def test_basis_binary_roundtrip(tmp_path):
-    ham, psi0 = random_symmetric(10, seed=5)
-    _, basis = lanczos_tridiagonalize(ham, psi0, 6, return_basis=True)
-    path = tmp_path / "basis.ksb"
-    write_basis_binary(basis, path)
-    back = read_basis_binary(path)
-    np.testing.assert_array_equal(back, basis)
-    raw = path.read_bytes()
-    assert raw[:4] == b"KSB1"
-    assert len(raw) == 16 + 8 * basis.size
-
-
 def unit_vector(n, j, sign=1.0):
     vec = np.zeros(n)
     vec[j] = sign
@@ -246,3 +239,52 @@ def test_householder_leaves_caller_matrix_untouched(order, start_kind):
     before = ham.copy()
     householder_hessenberg(ham, start)
     assert np.array_equal(ham, before)
+
+
+@pytest.fixture(params=["dsytrd_2stage", "dsytrd"])
+def kernel(request, monkeypatch):
+    """Run householder_hessenberg on each LAPACK reduction it can use.
+
+    Returns the kernel name and, for the ``dsytrd`` fallback, the orders of
+    the ``lapack.dsytrd`` calls.  The fallback is forced by resolving the
+    ``dsytrd_2stage`` binding to None, as when scipy's LAPACK library lacks
+    the routine.
+    """
+    if request.param == "dsytrd_2stage":
+        if matrix_lanczos._dsytrd_2stage is None:
+            pytest.skip("scipy's LAPACK library lacks dsytrd_2stage")
+        return request.param, None
+    fallback = lapack.dsytrd
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return fallback(a, *args, **kwargs)
+
+    monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", None)
+    monkeypatch.setattr(lapack, "dsytrd", counted)
+    return request.param, calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 300])
+@pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
+def test_householder_matches_exact_references(kernel, n, start_kind):
+    name, fallback_calls = kernel
+    ham, general = random_symmetric(n, seed=40 + n)
+    start = {"e0": unit_vector(n, 0), "ej": unit_vector(n, n - 1),
+             "general": general}[start_kind]
+    lc = householder_hessenberg(ham, start)
+    assert householder_kernel() == name
+    if fallback_calls is not None:
+        assert fallback_calls == [n]
+    assert lc.K == n
+    norm = np.max(np.abs(np.linalg.eigvalsh(ham)))
+    # (T^k)_00 against <psi|H^k|psi>, both by repeated matrix-vector products
+    tri = np.diag(lc.a) + np.diag(lc.b, 1) + np.diag(lc.b, -1)
+    t_vec, h_vec = unit_vector(n, 0), start.copy()
+    for k in range(1, 13):
+        t_vec, h_vec = tri @ t_vec, ham @ h_vec
+        assert abs(t_vec[0] - start @ h_vec) <= 1e-10 * norm ** k
+    np.testing.assert_allclose(np.linalg.eigvalsh(tri),
+                               np.linalg.eigvalsh(ham), rtol=0,
+                               atol=1e-10 * norm)
