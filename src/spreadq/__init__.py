@@ -28,9 +28,7 @@ from .models import (
     eval_frm_sp,
     eval_spin_sp,
     model_from_dict,
-    model_from_json,
     model_to_dict,
-    model_to_json,
     moments_of_model,
 )
 from .moment_lanczos import (
@@ -47,11 +45,8 @@ from .hamiltonians import (
     build_spin_sector,
     domain_wall_state,
     ldos_summary,
-    read_matrix_binary,
     sample_goe,
     sector_basis,
-    write_matrix_binary,
-    write_matrix_csv,
 )
 from .matrix_lanczos import (
     householder_hessenberg,

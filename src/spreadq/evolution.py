@@ -14,11 +14,13 @@ real part and one on sin(lambda_k t) U_0k for the imaginary part.  No
 time-stepping error enters; each grid point is independent, so the
 evolution is unitary up to eigensolver roundoff at every t.
 
-Infinite-time averages use the eigenbasis overlaps, reduced over blocks of
-Krylov rows so that no K x K temporary is formed.  Eigenvalues closer than
-1e-12 (relative) are merged into degenerate blocks first; the plain
+Infinite-time averages use the eigenbasis overlaps.  Eigenvalues closer
+than 1e-12 (relative) are merged into degenerate blocks first; the plain
 sum-over-levels formula silently assumes a non-degenerate spectrum and
-overestimates dephasing inside a block.
+overestimates dephasing inside a block.  Single levels contribute
+sum_k (U_nk U_0k)^2, summed over slabs of contiguous eigenvector columns so
+that no K x K temporary is formed; each merged block B then adds
+(U[:, B] @ U_0B)^2, one matrix-vector product per block.
 """
 import json
 from dataclasses import dataclass
@@ -32,8 +34,8 @@ from .moment_lanczos import LanczosCoefficients
 UNITARITY_ATOL = 1e-10
 INTEGRITY_ATOL = 1e-8
 DEGENERACY_RTOL = 1e-12
-# Krylov rows per block of the long-time average's overlap reduction
-AVERAGE_ROW_BLOCK = 256
+# Krylov columns per slab of the long-time average's single-level sum
+AVERAGE_COLUMN_SLAB = 64
 
 
 @dataclass
@@ -143,12 +145,14 @@ def evolve_amplitudes(source, times) -> KrylovAmplitudes:
         raise DomainError("time grid must be ascending")
     spectrum = _spectrum(source)
     vecs = spectrum.vectors
+    # U_0k is a strided row of the F-ordered vectors; read it once
+    u0 = vecs[0].copy()
     # exp(-i lambda t) = cos(lambda t) - i sin(lambda t), one real GEMM each
     angles = np.outer(times, spectrum.values)
     phi = np.empty(angles.shape, dtype=complex)
-    phi.real = (np.cos(angles) * vecs[0]) @ vecs.T
+    phi.real = (np.cos(angles) * u0) @ vecs.T
     np.sin(angles, out=angles)
-    angles *= -vecs[0]
+    angles *= -u0
     phi.imag = angles @ vecs.T
     return KrylovAmplitudes(times=times, phi=phi)
 
@@ -186,13 +190,21 @@ def long_time_average(source) -> LongTimeAverages:
     """
     spectrum = _spectrum(source)
     vecs = spectrum.vectors
-    starts = _degenerate_block_starts(spectrum.values)
+    bounds = np.append(_degenerate_block_starts(spectrum.values), spectrum.K)
+    merged = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+              if hi - lo > 1]
+    single = vecs[0].copy()
+    for lo, hi in merged:
+        single[lo:hi] = 0.0
     # weights[n] = sum over blocks of (sum_{k in block} U_nk U_0k)^2
-    weights = np.empty(spectrum.K)
-    for lo in range(0, spectrum.K, AVERAGE_ROW_BLOCK):
-        rows = slice(lo, lo + AVERAGE_ROW_BLOCK)
-        block_sums = np.add.reduceat(vecs[rows] * vecs[0], starts, axis=1)
-        weights[rows] = np.sum(block_sums ** 2, axis=1)
+    weights = np.zeros(spectrum.K)
+    for lo in range(0, spectrum.K, AVERAGE_COLUMN_SLAB):
+        cols = slice(lo, lo + AVERAGE_COLUMN_SLAB)
+        overlap = vecs[:, cols] * single[cols]
+        overlap *= overlap
+        weights += overlap.sum(axis=1)
+    for lo, hi in merged:
+        weights += (vecs[:, lo:hi] @ vecs[0, lo:hi]) ** 2
     c_bar = float(np.arange(spectrum.K) @ weights)
     return LongTimeAverages(c_bar=c_bar, f_bar=float(weights[0]))
 

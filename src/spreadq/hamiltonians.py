@@ -20,9 +20,14 @@ Randomness: every draw comes from ``numpy.random.Philox`` keyed with
 ``(seed, stream)``.  A fixed ``(seed, stream)`` pair reproduces the same
 matrix bit-for-bit regardless of how many realizations run concurrently;
 ensemble drivers enumerate ``stream`` as a plain counter.
+
+Symmetry: every matrix is checked for ``H == H.T`` bit-exactly by
+``is_symmetric``, which compares each ``SYMMETRY_TILE`` square tile of the
+lower triangle with the transpose of its upper partner.  Both tiles of a
+pair are read along contiguous rows and fit in cache together, so the check
+never scans H in transposed (strided) order.
 """
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,16 +35,33 @@ import numpy as np
 from .errors import AssemblyError, DomainError, NormalizationError
 from .models import LdosSummary
 
-BINARY_MAGIC = b"KSH1"
-# magic, u32 dimension, 8 reserved bytes
-_HEADER = struct.Struct("<4sI8x")
-
 MAX_CHAIN_SITES = 20
+# edge of the square tiles that is_symmetric compares pairwise
+SYMMETRY_TILE = 128
 
 
 def _generator(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def is_symmetric(matrix: np.ndarray) -> bool:
+    """``np.array_equal(matrix, matrix.T)``, one tile pair at a time.
+
+    Exact: each entry is compared with ``==`` against its mirror, so a NaN
+    anywhere, the diagonal included, makes the matrix asymmetric, and a
+    non-square matrix is never symmetric.
+    """
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        return False
+    n = matrix.shape[0]
+    for lo in range(0, n, SYMMETRY_TILE):
+        rows = slice(lo, lo + SYMMETRY_TILE)
+        for left in range(0, lo + 1, SYMMETRY_TILE):
+            cols = slice(left, left + SYMMETRY_TILE)
+            if not (matrix[rows, cols] == matrix[cols, rows].T).all():
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -74,7 +96,9 @@ class SectorHamiltonian:
     """Dense real symmetric Hamiltonian with its basis labels.
 
     ``basis`` holds up-spin bitmasks for spin chains and plain indices for
-    GOE matrices.  ``meta`` records provenance (seed, parameters).
+    GOE matrices.  ``meta`` records provenance (seed, parameters).  H must
+    be symmetric bit-exactly (``is_symmetric``); otherwise construction
+    raises ``DomainError``.
     """
 
     H: np.ndarray
@@ -90,7 +114,7 @@ class SectorHamiltonian:
             raise DomainError(
                 f"basis length {len(self.basis)} does not match "
                 f"dimension {self.H.shape[0]}")
-        if not np.array_equal(self.H, self.H.T):
+        if not is_symmetric(self.H):
             raise DomainError("H must be symmetric bit-exactly")
 
     @property
@@ -153,7 +177,11 @@ def _chain_bonds(L: int):
 
 def build_spin_sector(spec: SpinChainSpec, stream: int = 0) \
         -> SectorHamiltonian:
-    """Assemble H = H0 + g V on the Sz = 0 sector of the chain."""
+    """Assemble H = H0 + g V on the Sz = 0 sector of the chain.
+
+    The assembly is checked with ``is_symmetric`` and an asymmetric result
+    raises ``AssemblyError``.
+    """
     L = spec.L
     basis = sector_basis(L)
     dim = basis.size
@@ -174,7 +202,7 @@ def build_spin_sector(spec: SpinChainSpec, stream: int = 0) \
         ham[rows, cols] += spec.g * 0.5
     ham[np.arange(dim), np.arange(dim)] = diag
 
-    if not np.array_equal(ham, ham.T):
+    if not is_symmetric(ham):
         raise AssemblyError("sector assembly produced an asymmetric matrix")
     meta = {"kind": "spin_chain", "L": int(L), "h": float(spec.h),
             "g": float(spec.g), "seed": int(spec.seed),
@@ -211,43 +239,3 @@ def ldos_summary(ham, psi0):
     if var < 0:
         var = 0.0
     return LdosSummary(e0=e0, sigma0=math.sqrt(var))
-
-
-def write_matrix_binary(matrix, path) -> None:
-    """Row-major lower triangle, float64 little-endian, 16-byte header."""
-    matrix = matrix.H if isinstance(matrix, SectorHamiltonian) \
-        else np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    tri = matrix[np.tril_indices(n)].astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(BINARY_MAGIC, n))
-        fh.write(tri.tobytes())
-
-
-def read_matrix_binary(path) -> np.ndarray:
-    """Inverse of write_matrix_binary; reconstructs the full symmetric H."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise DomainError(f"{path}: truncated header")
-        magic, n = _HEADER.unpack(header)
-        if magic != BINARY_MAGIC:
-            raise DomainError(f"{path}: bad magic {magic!r}")
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    expected = n * (n + 1) // 2
-    if payload.size != expected:
-        raise DomainError(
-            f"{path}: expected {expected} triangle entries, got "
-            f"{payload.size}")
-    ham = np.zeros((n, n))
-    ham[np.tril_indices(n)] = payload
-    upper = np.triu_indices(n, k=1)
-    ham[upper] = ham.T[upper]
-    return ham
-
-
-def write_matrix_csv(matrix, path) -> None:
-    """Dense CSV dump for small instances (one row per line, %.17g)."""
-    matrix = matrix.H if isinstance(matrix, SectorHamiltonian) \
-        else np.asarray(matrix, dtype=float)
-    np.savetxt(path, matrix, delimiter=",", fmt="%.17g")

@@ -46,7 +46,6 @@ recursion of ``moments_to_lanczos`` instead of the exact one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -429,15 +428,3 @@ def model_from_dict(data: dict) -> AutocorrModel:
     if "dim" in kwargs:
         kwargs["dim"] = int(kwargs["dim"])
     return cls(**kwargs)
-
-
-def model_to_json(model: AutocorrModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True)
-
-
-def model_from_json(text: str) -> AutocorrModel:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid model JSON: {exc}") from exc
-    return model_from_dict(data)

@@ -19,7 +19,7 @@ from scipy.linalg import lapack
 
 import spreadq
 import spreadq.cli
-from spreadq import matrix_lanczos
+from spreadq import AssemblyError, matrix_lanczos
 
 # Directory holding the spreadq package this process imported (``src/`` or
 # site-packages). It goes first on the child's PYTHONPATH, so the child runs
@@ -343,6 +343,26 @@ def test_sector_assembly_failure_exits_3(tmp_path, monkeypatch, capsys):
                              "--out", str(tmp_path / "run")])
     assert code == 3
     assert "AssemblyError" in capsys.readouterr().err
+
+
+def test_asymmetric_assembly_exits_3(tmp_path, monkeypatch, capsys):
+    # without label 200 of the L=10 sector (n=252, two symmetry tiles),
+    # flip-flop partners of that label land on the next row: H != H.T
+    from spreadq import hamiltonians
+
+    real_basis = hamiltonians.sector_basis
+    monkeypatch.setattr(hamiltonians, "sector_basis",
+                        lambda L: np.delete(real_basis(L), 200))
+    spec = hamiltonians.SpinChainSpec(L=10, h=0.1, seed=0)
+    with pytest.raises(AssemblyError, match="asymmetric"):
+        hamiltonians.build_spin_sector(spec)
+    out = tmp_path / "run"
+    code = spreadq.cli.main(["spin", "--L", "10", "--h", "0.1",
+                             "--realizations", "1", "--tpoints", "20",
+                             "--out", str(out)])
+    assert code == 3
+    assert "asymmetric matrix" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("realizations, failing_call", [(1, 1), (2, 2)])

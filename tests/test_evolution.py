@@ -5,6 +5,7 @@ with scipy's expm and projects onto the Krylov vectors; the Krylov-side
 amplitudes must reproduce it.
 """
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.linalg import expm
 
 from spreadq import DomainError, LanczosCoefficients, NumericalError
 from spreadq.evolution import (
-    AVERAGE_ROW_BLOCK,
+    AVERAGE_COLUMN_SLAB,
     KrylovAmplitudes,
     LongTimeAverages,
     Spectrum,
@@ -252,9 +253,15 @@ def direct_long_time_average(values, vecs, starts):
     return float(np.arange(values.size) @ weights), float(weights[0])
 
 
+def random_orthogonal(gen, K):
+    vecs, _ = np.linalg.qr(gen.standard_normal((K, K)))
+    # the layout eigh_tridiagonal returns
+    return np.asfortranarray(vecs)
+
+
 def test_blocked_long_time_average_matches_direct_formula():
     gen = philox(42)
-    K = AVERAGE_ROW_BLOCK + 37
+    K = 4 * AVERAGE_COLUMN_SLAB + 37
     vecs, _ = np.linalg.qr(gen.standard_normal((K, K)))
     values = np.sort(gen.uniform(-3.0, 3.0, K))
     # one exactly degenerate quartet and one pair split below the tolerance
@@ -271,3 +278,47 @@ def test_blocked_long_time_average_matches_direct_formula():
                                                   np.arange(K))
     assert abs(f_levels - f_ref) > 1e-6 * f_ref
     assert abs(c_levels - c_ref) > 1e-6 * c_ref
+
+    # merged blocks at the first level, across a slab edge, at the last
+    # level, and in a spectrum smaller than one slab
+    slab = AVERAGE_COLUMN_SLAB
+    for K, (lo, hi) in ((3 * slab, (0, 4)), (3 * slab, (slab - 2, slab + 3)),
+                        (3 * slab + 7, (3 * slab + 3, 3 * slab + 7)),
+                        (slab - 5, (17, 20))):
+        vecs = random_orthogonal(gen, K)
+        values = np.sort(gen.uniform(-3.0, 3.0, K))
+        values[lo:hi] = values[lo]
+        starts = np.array([k for k in range(K) if not lo < k < hi])
+        c_ref, f_ref = direct_long_time_average(values, vecs, starts)
+        avg = long_time_average(Spectrum(values, vecs))
+        assert avg.c_bar == pytest.approx(c_ref, rel=1e-13)
+        assert avg.f_bar == pytest.approx(f_ref, rel=1e-13)
+
+    # one block holding the whole spectrum: phi_n(t) = delta_n0 at all t,
+    # so C_bar is zero up to roundoff and never negative
+    K = 64
+    vecs = random_orthogonal(gen, K)
+    values = np.full(K, 0.7)
+    c_ref, f_ref = direct_long_time_average(values, vecs, np.array([0]))
+    avg = long_time_average(Spectrum(values, vecs))
+    assert avg.c_bar >= 0.0
+    assert abs(avg.c_bar - c_ref) <= 1e-14
+    assert avg.f_bar == pytest.approx(f_ref, rel=1e-13)
+
+    avg = long_time_average(Spectrum(np.array([0.3]), np.eye(1)))
+    assert avg == LongTimeAverages(c_bar=0.0, f_bar=1.0)
+
+
+def test_long_time_average_forms_no_large_temporary():
+    gen = philox(43)
+    K = 1024
+    values = np.sort(gen.uniform(-3.0, 3.0, K))
+    values[500:504] = values[500]
+    spectrum = Spectrum(values, random_orthogonal(gen, K))
+    tracemalloc.start()
+    try:
+        long_time_average(spectrum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < K * K * 8 / 4

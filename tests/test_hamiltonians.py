@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spreadq import DomainError, NormalizationError
 from spreadq.hamiltonians import (
@@ -15,12 +17,10 @@ from spreadq.hamiltonians import (
     StateVector,
     build_spin_sector,
     domain_wall_state,
+    is_symmetric,
     ldos_summary,
-    read_matrix_binary,
     sample_goe,
     sector_basis,
-    write_matrix_binary,
-    write_matrix_csv,
 )
 
 # kron factor index equals the bit value, so index 1 = up-spin: the mask is
@@ -208,32 +208,32 @@ def test_sector_hamiltonian_validation():
         SectorHamiltonian(np.eye(3), np.arange(2))
 
 
-def test_binary_roundtrip(tmp_path):
-    sector = sample_goe(37, seed=5)
-    path = tmp_path / "ham.ksh"
-    write_matrix_binary(sector, path)
-    back = read_matrix_binary(path)
-    np.testing.assert_array_equal(back, sector.H)
-    raw = path.read_bytes()
-    assert raw[:4] == b"KSH1"
-    assert int.from_bytes(raw[4:8], "little") == 37
-    assert len(raw) == 16 + 8 * 37 * 38 // 2
-
-
-def test_binary_rejects_corrupt_files(tmp_path):
-    path = tmp_path / "bad.ksh"
-    path.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(DomainError):
-        read_matrix_binary(path)
-    path.write_bytes(b"KSH1" + (5).to_bytes(4, "little") + bytes(8)
-                     + bytes(8 * 3))
-    with pytest.raises(DomainError):
-        read_matrix_binary(path)
-
-
-def test_csv_export(tmp_path):
-    ham = np.array([[1.0, 0.5], [0.5, -1.0]])
-    path = tmp_path / "ham.csv"
-    write_matrix_csv(ham, path)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_array_equal(back, ham)
+# with 128-wide tiles, n = 300 spans two full tiles and a partial third one
+# (rows 256..299); the examples flip an entry in a diagonal tile, in an
+# off-diagonal tile, and in the partial tiles, and put a NaN on the diagonal
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       i=st.integers(0, 299), j=st.integers(0, 299),
+       change=st.sampled_from(["flip", "nan", "none"]))
+@example(n=300, seed=0, i=5, j=100, change="flip")
+@example(n=300, seed=0, i=200, j=10, change="flip")
+@example(n=300, seed=0, i=290, j=260, change="flip")
+@example(n=300, seed=0, i=299, j=0, change="flip")
+@example(n=300, seed=0, i=10, j=299, change="flip")
+@example(n=300, seed=0, i=150, j=150, change="nan")
+@example(n=1, seed=0, i=0, j=0, change="nan")
+def test_is_symmetric_matches_array_equal(n, seed, i, j, change):
+    gen = np.random.Generator(np.random.Philox(key=np.array(
+        [seed, 0], dtype=np.uint64)))
+    raw = gen.standard_normal((n, n))
+    ham = raw + raw.T
+    i, j = i % n, j % n
+    if change == "flip":
+        ham[i, j] += 1.0
+    elif change == "nan":
+        ham[i, i] = np.nan
+    assert is_symmetric(ham) == np.array_equal(ham, ham.T)
+    if change == "nan" or (change == "flip" and i != j):
+        assert not is_symmetric(ham)
+    # never symmetric when not square
+    assert not is_symmetric(ham[:, :-1])

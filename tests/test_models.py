@@ -27,9 +27,7 @@ from spreadq import (
     eval_frm_sp,
     eval_spin_sp,
     model_from_dict,
-    model_from_json,
     model_to_dict,
-    model_to_json,
     moments_of_model,
 )
 
@@ -341,7 +339,6 @@ def test_model_dict_roundtrip():
         data = model_to_dict(model)
         assert isinstance(data["variant"], str)
         assert model_from_dict(data) == model
-        assert model_from_json(model_to_json(model)) == model
 
 
 def test_model_from_dict_validation():
