@@ -8,24 +8,23 @@ Two independent routes to the same coefficients:
 - ``householder_hessenberg``: rotate psi0 onto e1 with one reflector (an
   index swap when psi0 is a basis vector), then LAPACK's two-stage
   reduction ``dsytrd_2stage`` (full matrix to band with level-3 BLAS, band
-  to tridiagonal by bulge chasing), or one-stage ``dsytrd`` where scipy's
-  LAPACK library lacks it.  With the lower triangle stored, both reductions
-  transform only rows and columns 2..n, so e1 stays fixed and the first
-  basis vector of the combined transform stays (up to sign) psi0.
+  to tridiagonal by bulge chasing, bound in ``_lapack``), or scipy's
+  one-stage ``lapack.dsytrd`` where scipy's LAPACK library lacks it.  With
+  the lower triangle stored, both reductions transform only rows and
+  columns 2..n, so e1 stays fixed and the first basis vector of the
+  combined transform stays (up to sign) psi0.
   Reference for full-depth coefficient profiles; backward-stable at any
   dimension.
 
 Both truncate at the first sub-diagonal entry below 1e-12 * ||H||: past a
 decoupling the tridiagonal block no longer describes the Krylov space of
 psi0.  The Lanczos path estimates ||H|| by power iteration; the Householder
-path takes it exactly from the end eigenvalues of its full tridiagonal,
-which is orthogonally similar to H.
+path takes it exactly from the end eigenvalues of its full tridiagonal
+(LAPACK ``dstebz``), which is orthogonally similar to H.
 """
-import ctypes
-
 import numpy as np
-from scipy.linalg import _flapack, eigvalsh_tridiagonal, lapack
 
+from . import _lapack
 from .errors import DomainError, LapackError, NormalizationError
 from .hamiltonians import SectorHamiltonian, StateVector
 from .moment_lanczos import LanczosCoefficients
@@ -34,55 +33,9 @@ TERMINATION_RTOL = 1e-12
 POWER_ITERATIONS = 30
 
 
-def _bind_dsytrd_2stage():
-    """LAPACK ``dsytrd_2stage`` from scipy's LAPACK library, or None.
-
-    scipy links the routine but does not wrap it, so it is called through
-    ctypes: LP64 ``int`` arguments, as in scipy's own wrappers, and the two
-    trailing ``size_t`` lengths of the character arguments.  The returned
-    function reduces the lower triangle of a Fortran-ordered float64 square
-    array in place (``VECT='N'``, ``UPLO='L'``) and returns ``(d, e, info)``.
-    """
-    lib = ctypes.CDLL(_flapack.__file__)
-    for symbol in ("scipy_dsytrd_2stage_", "dsytrd_2stage_"):
-        routine = getattr(lib, symbol, None)
-        if routine is not None:
-            break
-    else:
-        return None
-    square = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
-    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    int_p = ctypes.POINTER(ctypes.c_int)
-    # VECT, UPLO, N, A, LDA, D, E, TAU, HOUS2, LHOUS2, WORK, LWORK, INFO
-    routine.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int_p, square,
-                        int_p, vector, vector, vector, vector, int_p, vector,
-                        int_p, int_p, ctypes.c_size_t, ctypes.c_size_t]
-    routine.restype = None
-
-    def dsytrd_2stage(a):
-        n = a.shape[0]
-        if a.shape != (n, n) or n < 2:
-            raise DomainError(f"dsytrd_2stage needs a square array of "
-                              f"order >= 2, got shape {a.shape}")
-        n_c, info, query = ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(-1)
-        d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-        hous2, work = np.empty(1), np.empty(1)
-        routine(b"N", b"L", n_c, a, n_c, d, e, tau, hous2, query, work, query,
-                info, 1, 1)
-        if info.value == 0:
-            lhous2, lwork = int(hous2[0]), int(work[0])
-            hous2, work = np.empty(lhous2), np.empty(lwork)
-            routine(b"N", b"L", n_c, a, n_c, d, e, tau, hous2,
-                    ctypes.c_int(lhous2), work, ctypes.c_int(lwork), info,
-                    1, 1)
-        return d, e, info.value
-
-    return dsytrd_2stage
-
-
 # None when the library lacks the routine; householder_hessenberg then
-# falls back to lapack.dsytrd
-_dsytrd_2stage = _bind_dsytrd_2stage()
+# falls back to scipy's lapack.dsytrd
+_dsytrd_2stage = _lapack.dsytrd_2stage
 
 
 def householder_kernel() -> str:
@@ -217,6 +170,7 @@ def householder_hessenberg(ham, psi0) -> LanczosCoefficients:
     # matrix in Fortran order: the reduction overwrites it without another
     # copy
     if _dsytrd_2stage is None:
+        from scipy.linalg import lapack
         _, d, e, _, info = lapack.dsytrd(rotated.T, lower=1, overwrite_a=1)
     else:
         d, e, info = _dsytrd_2stage(rotated.T)
@@ -227,9 +181,7 @@ def householder_hessenberg(ham, psi0) -> LanczosCoefficients:
 
     # the full tridiagonal is orthogonally similar to H: its end
     # eigenvalues give ||H||_2 exactly
-    norm = max(abs(eigvalsh_tridiagonal(diag, off, select="i",
-                                        select_range=(i, i))[0])
-               for i in (0, n - 1))
+    norm = max(abs(_lapack.dstebz(diag, off, i)) for i in (0, n - 1))
     tol = TERMINATION_RTOL * norm
     cut = np.nonzero(off <= tol)[0]
     k_actual = int(cut[0]) + 1 if cut.size else n

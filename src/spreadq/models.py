@@ -52,7 +52,6 @@ from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from scipy.special import j1 as _bessel_j1
 
 from .errors import DomainError, VariantError
 from .moment_lanczos import MomentSequence
@@ -187,13 +186,16 @@ def _restore(value: np.ndarray, scalar: bool):
 
 def _j1_over_x(x: np.ndarray) -> np.ndarray:
     """``J_1(x)/x`` with a series branch across the removable zero."""
+    # imported here: the command line's default paths need no scipy.special
+    from scipy.special import j1
+
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < SERIES_THRESHOLD
     out = np.empty_like(x)
     xs = x[small]
     out[small] = 0.5 - xs**2 / 16.0 + xs**4 / 384.0
     xl = x[~small]
-    out[~small] = _bessel_j1(xl) / xl
+    out[~small] = j1(xl) / xl
     return out
 
 

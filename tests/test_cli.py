@@ -14,12 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg import lapack
 
 import spreadq
 import spreadq.cli
-from spreadq import AssemblyError, matrix_lanczos
+from spreadq import AssemblyError, _lapack, matrix_lanczos
 
 # Directory holding the spreadq package this process imported (``src/`` or
 # site-packages). It goes first on the child's PYTHONPATH, so the child runs
@@ -28,13 +27,17 @@ from spreadq import AssemblyError, matrix_lanczos
 PACKAGE_ROOT = str(Path(spreadq.__file__).resolve().parent.parent)
 
 
-def run_cli(*argv, cwd):
+def run_python(*argv, cwd):
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (PACKAGE_ROOT + os.pathsep + inherited
                          if inherited else PACKAGE_ROOT)
-    return subprocess.run([sys.executable, "-m", "spreadq.cli", *argv],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+
+
+def run_cli(*argv, cwd):
+    return run_python("-m", "spreadq.cli", *argv, cwd=cwd)
 
 
 def read_coeffs(path):
@@ -263,8 +266,8 @@ def test_frm_small_dimension_skips_profile_fit(tmp_path):
 
 @pytest.fixture
 def eigensolve_calls(monkeypatch):
-    """Count ``eigh_tridiagonal`` calls from every spreadq module."""
-    kernel = scipy.linalg.eigh_tridiagonal
+    """Count calls of the ``dstevd`` binding from every spreadq module."""
+    kernel = _lapack.dstevd
     calls = []
 
     def counted(*args, **kwargs):
@@ -332,7 +335,9 @@ def test_dsytrd_fallback_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_sector_assembly_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # a basis without the domain-wall label breaks the state builder
+    # a basis without label 0b0011 (also the domain-wall label) leaves
+    # flip-flop partners on the wrong rows: the sector builder finds H
+    # asymmetric before the state builder runs
     from spreadq import hamiltonians
 
     real_basis = hamiltonians.sector_basis
@@ -342,7 +347,8 @@ def test_sector_assembly_failure_exits_3(tmp_path, monkeypatch, capsys):
                              "--realizations", "1", "--tpoints", "20",
                              "--out", str(tmp_path / "run")])
     assert code == 3
-    assert "AssemblyError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "AssemblyError" in err and "asymmetric matrix" in err
 
 
 def test_asymmetric_assembly_exits_3(tmp_path, monkeypatch, capsys):
@@ -473,3 +479,31 @@ def test_model_moment_route(tmp_path, recursion_calls, variant, exact):
     assert code == 0
     assert recursion_calls
     assert set(recursion_calls) == {exact}
+
+
+# scipy's Python linear-algebra and special-function layers cost about
+# 0.4 s of start-up; the command line reaches LAPACK through ctypes instead
+STARTUP_CHECK = """
+import sys
+import spreadq.cli
+for argv in {runs!r}:
+    assert spreadq.cli.main(argv) == 0, argv
+print(sorted(m for m in ("scipy.linalg", "scipy.special")
+             if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("runs", [
+    pytest.param([], id="import"),
+    pytest.param([[*GAUSSIAN, "--tpoints", "20", "--out", "gaussian"],
+                  [*INTERPOLATION, "--tpoints", "20", "--out", "interp"]],
+                 id="model"),
+    pytest.param([[*FRM, "--tpoints", "20", "--out", "frm"],
+                  [*FRM, "--K", "5", "--tpoints", "20", "--out", "frm-K"],
+                  [*SPIN, "--tpoints", "20", "--out", "spin"]],
+                 id="frm-spin"),
+])
+def test_cli_does_not_import_scipy_linalg_or_special(tmp_path, runs):
+    proc = run_python("-c", STARTUP_CHECK.format(runs=runs), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

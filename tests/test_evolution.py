@@ -165,11 +165,11 @@ def test_time_grid_validation():
         evolve_amplitudes(lc, np.array([]))
 
 
-def test_spread_complexity_integrity_check():
+def test_denormalized_amplitudes_rejected_on_construction():
+    # the one normalization check: spread_complexity relies on it
     amp = evolve_amplitudes(two_level(), np.linspace(0, 1, 5))
-    amp.phi = amp.phi * 1.001
-    with pytest.raises(NumericalError):
-        spread_complexity(amp)
+    with pytest.raises(NumericalError, match="normalization"):
+        KrylovAmplitudes(times=amp.times, phi=amp.phi * 1.001)
 
 
 def test_krylov_amplitudes_validation():

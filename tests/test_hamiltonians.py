@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spreadq import DomainError, NormalizationError
+from spreadq import AssemblyError, DomainError, NormalizationError
 from spreadq.hamiltonians import (
     SectorHamiltonian,
     SpinChainSpec,
@@ -174,6 +174,17 @@ def test_domain_wall_state_layout():
     spec14 = SpinChainSpec(L=14, h=1.0)
     state14 = domain_wall_state(spec14)
     assert state14.dimension == 3432
+
+
+def test_domain_wall_state_requires_the_mask(monkeypatch):
+    # a basis without label 0b0011 has no domain-wall state
+    from spreadq import hamiltonians
+
+    real_basis = hamiltonians.sector_basis
+    monkeypatch.setattr(hamiltonians, "sector_basis",
+                        lambda L: real_basis(L)[1:])
+    with pytest.raises(AssemblyError, match="domain-wall mask 0x3 missing"):
+        domain_wall_state(SpinChainSpec(L=4, h=0.0))
 
 
 def test_domain_wall_energy_cancels_on_clean_ring():
