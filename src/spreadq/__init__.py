@@ -28,7 +28,6 @@ from .models import (
     eval_frm_sp,
     eval_spin_sp,
     model_from_dict,
-    model_to_dict,
     moments_of_model,
 )
 from .moment_lanczos import (
@@ -50,7 +49,6 @@ from .hamiltonians import (
 )
 from .matrix_lanczos import (
     householder_hessenberg,
-    householder_kernel,
     lanczos_tridiagonalize,
     spectral_norm_estimate,
 )
@@ -63,7 +61,7 @@ from .evolution import (
     evolve_amplitudes,
     long_time_average,
     spread_complexity,
-    write_sidecar,
+    time_grid,
 )
 from .analysis import (
     EnsembleSeries,

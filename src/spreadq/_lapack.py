@@ -16,11 +16,12 @@ the results are bit-identical to theirs:
 - ``dstebz``: one eigenvalue by index (``RANGE='I'``, ``ORDER='E'``,
   ``ABSTOL=0``), as in ``eigvalsh_tridiagonal(select="i")``;
 - ``dsytrd_2stage``: two-stage reduction to tridiagonal form, which scipy
-  links but does not wrap; None where the library lacks it.
+  links but does not wrap (in reference LAPACK since 3.7.0).
 
 Symbols resolve as ``scipy_<name>_`` (scipy's bundled OpenBLAS), then
-``<name>_``.  Arguments are LP64 ``int``, as in scipy's wrappers, followed
-by one trailing ``size_t`` length per character argument.
+``<name>_``; importing this module fails where any of the three is missing.
+Arguments are LP64 ``int``, as in scipy's wrappers, followed by one
+trailing ``size_t`` length per character argument.
 """
 import ctypes
 import importlib.machinery
@@ -78,8 +79,9 @@ _SYTRD_2STAGE = _routine("dsytrd_2stage",
                          [_CHAR, _CHAR, _INT, _SQUARE, _INT, _VECTOR,
                           _VECTOR, _VECTOR, _VECTOR, _INT, _VECTOR, _INT,
                           _INT, _LENGTH, _LENGTH])
-if _STEVD is None or _STEBZ is None:
-    raise ImportError("scipy's LAPACK library exports no dstevd or dstebz")
+if _STEVD is None or _STEBZ is None or _SYTRD_2STAGE is None:
+    raise ImportError("scipy's LAPACK library exports no dstevd, dstebz or "
+                      "dsytrd_2stage")
 
 
 def _tridiagonal(d, e):
@@ -137,9 +139,10 @@ def dstebz(d, e, i: int) -> float:
     return float(values[0])
 
 
-def _dsytrd_2stage(a):
+def dsytrd_2stage(a):
     """Reduce the lower triangle of a Fortran-ordered float64 square array
-    in place (``VECT='N'``, ``UPLO='L'``); returns ``(d, e, info)``."""
+    in place (``VECT='N'``, ``UPLO='L'``); returns the diagonal and
+    off-diagonal ``(d, e)`` of the tridiagonal."""
     n = a.shape[0]
     if a.shape != (n, n) or n < 2:
         raise DomainError(f"dsytrd_2stage needs a square array of "
@@ -149,13 +152,10 @@ def _dsytrd_2stage(a):
     hous2, work = np.empty(1), np.empty(1)
     _SYTRD_2STAGE(b"N", b"L", n_c, a, n_c, d, e, tau, hous2, query, work,
                   query, info, 1, 1)
-    if info.value == 0:
-        lhous2, lwork = int(hous2[0]), int(work[0])
-        hous2, work = np.empty(lhous2), np.empty(lwork)
-        _SYTRD_2STAGE(b"N", b"L", n_c, a, n_c, d, e, tau, hous2,
-                      ctypes.c_int(lhous2), work, ctypes.c_int(lwork), info,
-                      1, 1)
-    return d, e, info.value
-
-
-dsytrd_2stage = None if _SYTRD_2STAGE is None else _dsytrd_2stage
+    _check("dsytrd_2stage", info)
+    lhous2, lwork = int(hous2[0]), int(work[0])
+    hous2, work = np.empty(lhous2), np.empty(lwork)
+    _SYTRD_2STAGE(b"N", b"L", n_c, a, n_c, d, e, tau, hous2,
+                  ctypes.c_int(lhous2), work, ctypes.c_int(lwork), info, 1, 1)
+    _check("dsytrd_2stage", info)
+    return d, e

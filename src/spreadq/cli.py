@@ -9,8 +9,9 @@ fit       re-fit an existing coefficient or series CSV
 b2-table  two-level form factor values on a time grid
 
 Configuration precedence: command-line flags override the JSON file given
-with ``--config``, which overrides built-in defaults.  Exit codes: 0 on
-success, 2 for configuration errors, 3 for numerical failures.
+with ``--config``, which overrides built-in defaults.  A config-file value
+must have the type of its flag.  ``--out`` must be absent or empty.  Exit
+codes: 0 on success, 2 for configuration errors, 3 for numerical failures.
 
 All randomness flows from the master ``--seed``; ensemble member r uses
 counter stream r, so member sets are reproducible and order-independent.
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import platform
 import sys
 import time
@@ -47,13 +47,12 @@ from .analysis import (
 )
 from .errors import DomainError, NumericalError, WindowError
 from .evolution import (
-    LongTimeAverages,
     SpreadComplexitySeries,
     eigendecompose,
     evolve_amplitudes,
     long_time_average,
     spread_complexity,
-    write_sidecar,
+    time_grid,
 )
 from .hamiltonians import (
     SpinChainSpec,
@@ -61,11 +60,7 @@ from .hamiltonians import (
     domain_wall_state,
     sample_goe,
 )
-from .matrix_lanczos import (
-    householder_hessenberg,
-    householder_kernel,
-    lanczos_tridiagonalize,
-)
+from .matrix_lanczos import householder_hessenberg, lanczos_tridiagonalize
 from .models import eval_b2, model_from_dict, moments_of_model
 from .moment_lanczos import (
     MAX_PRECISION_BITS,
@@ -76,10 +71,6 @@ from .moment_lanczos import (
 AMPLITUDE_VARIANTS = ("gaussian", "semicircle", "interpolation",
                       "truncated_quadratic")
 FIT_KINDS = ("power", "linear", "goe", "decay")
-
-# saturation window: plateau statements need the grid to extend well past
-# the inverse level spacing, so the auto grid ends at 20 Heisenberg times
-HEISENBERG_MULTIPLE = 20.0
 
 _COMMON_DEFAULTS = {
     "out": None,
@@ -132,7 +123,7 @@ DEFAULTS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="spreadq",
         description="Spread-complexity pipelines for quantum quenches")
@@ -204,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_b2, grid=False)
     p_b2.add_argument("--times", help="comma-separated times")
 
-    return parser
+    return parser, sub.choices
 
 
 def _load_config_file(path: str) -> dict:
@@ -221,8 +212,42 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
+# JSON types a config-file value may take, by the type of its flag
+_FILE_TYPES = {int: (int,), float: (int, float), None: (str,)}
+
+
+def _file_value(path: str, key: str, value, action, default):
+    """A config-file value, checked against the type, arity and choices of
+    its flag.  JSON null leaves a value unset where the default is unset."""
+    if value is None and default is None:
+        return None
+    if action.nargs == 0:
+        types, count = (bool,), None
+    elif key == "times" and isinstance(value, list):
+        # b2-table also takes its times as a JSON list of numbers
+        types, count = _FILE_TYPES[float], len(value)
+    else:
+        types, count = _FILE_TYPES[action.type], action.nargs
+    # count None: a single value; otherwise a list of that many
+    shaped = count is None or isinstance(value, list) and len(value) == count
+    items = [value] if count is None else value
+    # bool is a subtype of int, but only --flag/--no-flag takes true/false
+    typed = shaped and all(isinstance(v, types) and (
+        bool in types or not isinstance(v, bool)) for v in items)
+    if not typed or action.choices is not None \
+            and value not in action.choices:
+        raise DomainError(f"{path}: config key {key!r} is not a valid "
+                          f"{action.option_strings[0]} value: {value!r}")
+    return value
+
+
+def _resolve_config(args: argparse.Namespace,
+                    parser: argparse.ArgumentParser) -> dict:
+    """Defaults, then the ``--config`` file, then flags; ``parser`` is the
+    command's own, whose flag declarations type the file's values.  The
+    resolved ``--out`` must be absent or empty."""
     defaults = DEFAULTS[args.command]
+    flags = {action.dest: action for action in parser._actions}
     config = dict(defaults)
     if getattr(args, "config", None):
         loaded = _load_config_file(args.config)
@@ -231,11 +256,18 @@ def _resolve_config(args: argparse.Namespace) -> dict:
                 raise DomainError(
                     f"{args.config}: unknown config key {key!r} for "
                     f"command {args.command!r}")
-            config[key] = value
+            config[key] = _file_value(args.config, key, value, flags[key],
+                                      defaults[key])
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
+    if config["out"] is None:
+        config["out"] = f"{args.command}-out"
+    # a run never mixes its files with another's
+    out = Path(config["out"])
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise DomainError(f"--out {out} exists and is not empty")
     if config.get("window") is not None:
         config["window"] = tuple(float(v) for v in config["window"])
     return config
@@ -259,33 +291,6 @@ def _check_seed(value) -> int:
             0 <= value < 2**64:
         raise DomainError(f"--seed must be a u64, got {value}")
     return int(value)
-
-
-def _auto_tmax(lam: np.ndarray, sigma_ref: float) -> float:
-    """Grid end covering saturation: HEISENBERG_MULTIPLE Heisenberg times.
-
-    ``lam`` holds the ascending eigenvalues of the coefficient matrix.
-    """
-    gaps = np.diff(lam)
-    gaps = gaps[gaps > 1e-12 * max(1.0, abs(lam).max(initial=0.0))]
-    if gaps.size == 0:
-        return 1e3 / sigma_ref
-    return HEISENBERG_MULTIPLE * 2.0 * math.pi / float(np.median(gaps))
-
-
-def _time_grid(config: dict, sigma_ref: float, tmax_auto: float) \
-        -> np.ndarray:
-    tmax = config["tmax"] if config["tmax"] is not None else tmax_auto
-    points = _check_positive_int("--tpoints", config["tpoints"], minimum=2)
-    if not (math.isfinite(tmax) and tmax > 0):
-        raise DomainError(f"--tmax must be positive, got {tmax}")
-    if config["log_grid"]:
-        tmin = 1e-2 / sigma_ref
-        if tmax <= tmin:
-            raise DomainError(
-                f"--tmax {tmax} is below the smallest grid time {tmin:.3g}")
-        return np.geomspace(tmin, tmax, points)
-    return np.linspace(0.0, tmax, points)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -327,11 +332,6 @@ def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
     _write_json(out / "manifest.json", manifest)
 
 
-def _tridiagonalization(depth: int | None) -> str:
-    """Kernel of the frm/spin coefficient route, for the manifest."""
-    return householder_kernel() if depth is None else "lanczos"
-
-
 def _peak_plateau_entry(series) -> dict:
     """Peak/plateau diagnostics; a too-short grid is reported, not fatal."""
     try:
@@ -340,9 +340,8 @@ def _peak_plateau_entry(series) -> dict:
         return {"skipped": str(exc)}
 
 
-def _out_dir(config: dict, command: str) -> Path:
-    out = Path(config["out"] if config["out"] is not None
-               else f"{command}-out")
+def _out_dir(config: dict) -> Path:
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -366,18 +365,19 @@ def _cmd_model(config: dict) -> None:
     lc = moments_to_lanczos(moments, depth, precision_bits=bits,
                             formal=config["formal"])
 
-    out = _out_dir(config, "model")
+    out = _out_dir(config)
     lc.to_csv(out / "coeffs.csv")
     fits: dict = {"depth": lc.K, "physical": lc.physical}
     if lc.physical:
         sigma_ref = float(lc.b[0]) if lc.K > 1 else max(abs(lc.a[0]), 1.0)
         spectrum = eigendecompose(lc)
-        times = _time_grid(config, sigma_ref,
-                           _auto_tmax(spectrum.values, sigma_ref))
+        times = time_grid(spectrum.values, sigma_ref, config["tpoints"],
+                          config["tmax"], config["log_grid"])
         series = spread_complexity(evolve_amplitudes(spectrum, times))
         series.to_csv(out / "series.csv")
         avg = long_time_average(spectrum)
-        write_sidecar(avg, lc.K, out / "averages.json")
+        _write_json(out / "averages.json",
+                    {"C_bar": avg.c_bar, "F_bar": avg.f_bar, "K": lc.K})
         fits["b1"] = float(lc.b[0]) if lc.K > 1 else None
         # the default power-fit window (2, len(b)//2) needs 3 points
         if lc.K - 1 >= 8:
@@ -398,45 +398,55 @@ def _cmd_model(config: dict) -> None:
                     started)
 
 
-def _ensemble_pipeline(config: dict, command: str, build_lc):
-    """Shared frm/spin flow: member coefficients, series, mean profiles.
+def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
+                       member, extra_fits) -> None:
+    """The frm/spin run: member coefficients, series, mean profiles, fits.
 
-    ``build_lc(stream)`` returns the coefficient set of one member.
-    Members run one after another in stream order.  Each member's task
-    diagonalizes its T once, for both its series and its long-time
-    averages, and drops the spectrum when it ends, so one member spectrum
-    is alive at a time.  Member 0's spectrum also sets the grid end.  The
-    output directory is created only once every member has finished, so a
-    failing member leaves nothing on disk.
+    ``member(stream)`` returns the ``(H, psi0)`` of one member, of dimension
+    ``dim``.  Members run in stream order.  Each drops its H before its one
+    eigensolve, and its spectrum before the next member builds its H.
+    Member 0's spectrum also sets the grid.  The run directory is created
+    once every member has finished, so a failing member leaves nothing.
+    ``extra_fits(out, coefficient_sets, mean_lc)`` writes the command's own
+    artifacts and returns its own ``fits.json`` entries.
     """
+    started = time.perf_counter()
     realizations = _check_positive_int("--realizations",
                                        config["realizations"])
     streams = list(range(realizations))
-    averages: dict[int, LongTimeAverages] = {}
+    depth = config["depth"]
+    if depth is not None:
+        depth = _check_positive_int("--K", depth)
+        if depth > dim:
+            raise DomainError(f"--K {depth} exceeds the dimension {dim}")
 
-    lc0 = build_lc(0)
-    if lc0.K < 2:
+    def coefficients(stream: int) -> LanczosCoefficients:
+        ham, psi0 = member(stream)
+        if depth is None:
+            return householder_hessenberg(ham, psi0)
+        return lanczos_tridiagonalize(ham, psi0, depth)
+
+    coefficient_sets = [coefficients(0)]
+    if coefficient_sets[0].K < 2:
         raise DomainError("member 0 has Krylov dimension 1; nothing to fit")
-    coefficient_sets = {0: lc0}
-    # member 0's task pops its spectrum, so it is freed when that task ends
-    spectra = [eigendecompose(lc0)]
-    sigma_ref = float(lc0.b[0])
-    times = _time_grid(config, sigma_ref,
-                       _auto_tmax(spectra[0].values, sigma_ref))
+    spectrum = eigendecompose(coefficient_sets[0])
+    times = time_grid(spectrum.values, float(coefficient_sets[0].b[0]),
+                      config["tpoints"], config["tmax"], config["log_grid"])
+    averages = []
 
-    def run(stream: int):
-        if stream == 0:
-            spectrum = spectra.pop()
-        else:
-            coefficient_sets[stream] = build_lc(stream)
+    def run(stream: int) -> SpreadComplexitySeries:
+        nonlocal spectrum
+        if stream:
+            coefficient_sets.append(coefficients(stream))
             spectrum = eigendecompose(coefficient_sets[stream])
         series = spread_complexity(evolve_amplitudes(spectrum, times))
-        averages[stream] = long_time_average(spectrum)
+        averages.append(long_time_average(spectrum))
+        spectrum = None
         return series
 
     ens = ensemble_average(run, streams)
 
-    out = _out_dir(config, command)
+    out = _out_dir(config)
     # ensemble rows are ordered by stream, so member series come for free
     for stream in streams:
         coefficient_sets[stream].to_csv(out / f"coeffs_{stream:04d}.csv")
@@ -444,117 +454,86 @@ def _ensemble_pipeline(config: dict, command: str, build_lc):
             times=ens.times, C=ens.members_C[stream],
             F=ens.members_F[stream]).to_csv(out / f"series_{stream:04d}.csv")
 
-    depth_min = min(coefficient_sets[s].K for s in streams)
-    mean_a = np.mean([coefficient_sets[s].a[:depth_min] for s in streams],
-                     axis=0)
-    mean_b = np.mean([coefficient_sets[s].b[:depth_min - 1] for s in streams],
-                     axis=0)
-    mean_lc = LanczosCoefficients(mean_a, mean_b)
+    depth_min = min(lc.K for lc in coefficient_sets)
+    mean_lc = LanczosCoefficients(
+        np.mean([lc.a[:depth_min] for lc in coefficient_sets], axis=0),
+        np.mean([lc.b[:depth_min - 1] for lc in coefficient_sets], axis=0))
     mean_lc.to_csv(out / "coeffs_mean.csv")
     _write_ensemble_csv(out / "ensemble.csv", ens)
 
     mean_series = SpreadComplexitySeries(times=ens.times, C=ens.mean_C,
                                          F=ens.mean_F)
-    return (out, streams, coefficient_sets, mean_lc, mean_series, {
-        "C_bar": float(np.mean([averages[s].c_bar for s in streams])),
-        "F_bar": float(np.mean([averages[s].f_bar for s in streams])),
-    })
+    fits = {
+        "b1_mean": float(mean_lc.b[0]),
+        "peak_plateau": _peak_plateau_entry(mean_series),
+        "long_time_average": {
+            "C_bar": float(np.mean([avg.c_bar for avg in averages])),
+            "F_bar": float(np.mean([avg.f_bar for avg in averages])),
+        },
+        "realizations": realizations,
+        **extra_fits(out, coefficient_sets, mean_lc),
+    }
+    _write_json(out / "fits.json", fits)
+    _write_manifest(out, command, config,
+                    {"master": seed, "streams": streams}, started,
+                    "dsytrd_2stage" if depth is None else "lanczos")
 
 
 def _cmd_frm(config: dict) -> None:
-    started = time.perf_counter()
     dim = _check_positive_int("--dim", _require(config, "dim", "--dim"),
                               minimum=2)
     seed = _check_seed(config["seed"])
-    depth = config["depth"]
-    if depth is not None:
-        depth = _check_positive_int("--K", depth)
-        if depth > dim:
-            raise DomainError(f"--K {depth} exceeds the dimension {dim}")
 
-    def build_lc(stream: int) -> LanczosCoefficients:
-        sector = sample_goe(dim, seed, stream=stream)
+    def member(stream: int):
         psi0 = np.zeros(dim)
         psi0[0] = 1.0
-        if depth is None:
-            return householder_hessenberg(sector.H, psi0)
-        return lanczos_tridiagonalize(sector.H, psi0, depth)
+        return sample_goe(dim, seed, stream=stream).H, psi0
 
-    out, streams, sets, mean_lc, mean_series, avg = _ensemble_pipeline(
-        config, "frm", build_lc)
+    def goe_profile(out, coefficient_sets, mean_lc) -> dict:
+        window = (1, min(mean_lc.K - 1, dim - 20))
+        try:
+            return {"goe_profile": fit_goe_profile(mean_lc, dim,
+                                                   window=window).to_dict()}
+        except WindowError as exc:
+            # small dimensions leave too few points once the tail is dropped
+            return {"goe_profile": {"skipped": str(exc)}}
 
-    profile_window = (1, min(mean_lc.K - 1, dim - 20))
-    try:
-        goe_profile = fit_goe_profile(mean_lc, dim,
-                                      window=profile_window).to_dict()
-    except WindowError as exc:
-        # small dimensions leave too few points once the tail is dropped
-        goe_profile = {"skipped": str(exc)}
-    fits = {
-        "b1_mean": float(mean_lc.b[0]),
-        "goe_profile": goe_profile,
-        "peak_plateau": _peak_plateau_entry(mean_series),
-        "long_time_average": avg,
-        "realizations": len(streams),
-    }
-    _write_json(out / "fits.json", fits)
-    _write_manifest(out, "frm", config,
-                    {"master": seed, "streams": streams}, started,
-                    _tridiagonalization(depth))
+    _ensemble_pipeline(config, "frm", seed, dim, member, goe_profile)
 
 
 def _cmd_spin(config: dict) -> None:
-    started = time.perf_counter()
     L = _require(config, "L", "--L")
     h = _require(config, "h", "--h")
     seed = _check_seed(config["seed"])
     spec = SpinChainSpec(L=L, h=float(h), g=float(config["g"]), seed=seed)
-    depth = config["depth"]
-    if depth is not None:
-        depth = _check_positive_int("--K", depth)
-        if depth > spec.dimension:
-            raise DomainError(f"--K {depth} exceeds the sector "
-                              f"dimension {spec.dimension}")
+    if config["compare_smaller"] and spec.L - 2 < 2:
+        raise DomainError(f"no smaller chain below L={spec.L}")
 
-    def build_lc(stream: int) -> LanczosCoefficients:
-        sector = build_spin_sector(spec, stream=stream)
-        psi0 = domain_wall_state(spec)
-        if depth is None:
-            return householder_hessenberg(sector.H, psi0)
-        return lanczos_tridiagonalize(sector.H, psi0, depth)
+    def member(stream: int):
+        # H is assembled, and checked, before the state is built
+        return build_spin_sector(spec, stream=stream).H, \
+            domain_wall_state(spec)
 
-    out, streams, sets, mean_lc, mean_series, avg = _ensemble_pipeline(
-        config, "spin", build_lc)
+    def histograms(out, coefficient_sets, mean_lc) -> dict:
+        stats = coefficient_stats({"run": coefficient_sets})["run"]
+        stats.hist_a.to_csv(out / "hist_a.csv")
+        stats.hist_b.to_csv(out / "hist_b.csv")
+        _write_json(out / "variances.json", {
+            "var_a": stats.var_a,
+            "var_b": stats.var_b,
+            "realizations": stats.realizations,
+            "L": spec.L,
+            "h": spec.h,
+            "g": spec.g,
+        })
+        return {}
 
-    stats = coefficient_stats({"run": [sets[s] for s in streams]})["run"]
-    stats.hist_a.to_csv(out / "hist_a.csv")
-    stats.hist_b.to_csv(out / "hist_b.csv")
-    _write_json(out / "variances.json", {
-        "var_a": stats.var_a,
-        "var_b": stats.var_b,
-        "realizations": stats.realizations,
-        "L": spec.L,
-        "h": spec.h,
-        "g": spec.g,
-    })
-    fits = {
-        "b1_mean": float(mean_lc.b[0]),
-        "peak_plateau": _peak_plateau_entry(mean_series),
-        "long_time_average": avg,
-        "realizations": len(streams),
-    }
-    _write_json(out / "fits.json", fits)
-    _write_manifest(out, "spin", config,
-                    {"master": seed, "streams": streams}, started,
-                    _tridiagonalization(depth))
-
+    _ensemble_pipeline(config, "spin", seed, spec.dimension, member,
+                       histograms)
     if config["compare_smaller"]:
-        if spec.L - 2 < 2:
-            raise DomainError(f"no smaller chain below L={spec.L}")
-        sub_config = dict(config)
-        sub_config.update({"L": spec.L - 2, "compare_smaller": False,
-                           "out": str(out / f"compare-L{spec.L - 2}")})
-        _cmd_spin(sub_config)
+        sub_out = Path(config["out"]) / f"compare-L{spec.L - 2}"
+        _cmd_spin({**config, "L": spec.L - 2, "compare_smaller": False,
+                   "out": str(sub_out)})
 
 
 def _load_series_csv(path: str):
@@ -606,7 +585,7 @@ def _cmd_fit(config: dict) -> None:
             result = fit_goe_profile(lc, dim, window=window)
         source = config["coeffs"]
 
-    out = _out_dir(config, "fit")
+    out = _out_dir(config)
     _write_json(out / "fits.json",
                 {"kind": kind, "source": str(source),
                  "fit": result.to_dict()})
@@ -629,7 +608,7 @@ def _cmd_b2_table(config: dict) -> None:
         raise DomainError("--times is empty")
     values = eval_b2(np.asarray(times))
 
-    out = _out_dir(config, "b2-table")
+    out = _out_dir(config)
     with open(out / "b2.csv", "w") as fh:
         fh.write("t,B2\n")
         for t, v in zip(times, np.atleast_1d(values)):
@@ -648,10 +627,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
+        config = _resolve_config(args, commands[args.command])
         _HANDLERS[args.command](config)
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ sum_k (U_nk U_0k)^2, summed over slabs of contiguous eigenvector columns so
 that no K x K temporary is formed; each merged block B then adds
 (U[:, B] @ U_0B)^2, one matrix-vector product per block.
 """
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,10 @@ UNITARITY_ATOL = 1e-10
 DEGENERACY_RTOL = 1e-12
 # Krylov columns per slab of the long-time average's single-level sum
 AVERAGE_COLUMN_SLAB = 64
+# saturation window: plateau statements need the grid to extend well past
+# the inverse level spacing, so the automatic grid ends at 20 Heisenberg
+# times
+HEISENBERG_MULTIPLE = 20.0
 
 
 @dataclass
@@ -123,6 +127,34 @@ def eigendecompose(lc: LanczosCoefficients) -> Spectrum:
     return Spectrum(*dstevd(lc.a, lc.b))
 
 
+def time_grid(values, sigma: float, points, tmax=None, log=True) \
+        -> np.ndarray:
+    """Ascending grid of ``points`` times for a spectrum of first
+    coefficient ``sigma`` and ascending eigenvalues ``values``.
+
+    A log grid runs from 1e-2/sigma, a linear one from 0.  Without ``tmax``
+    it ends at HEISENBERG_MULTIPLE Heisenberg times 2 pi / (median level
+    gap), over the gaps above 1e-12 of the spectral scale; with no such
+    gap, at 1e3/sigma.
+    """
+    if tmax is None:
+        gaps = np.diff(values)
+        gaps = gaps[gaps > 1e-12 * max(1.0, abs(values).max(initial=0.0))]
+        tmax = (HEISENBERG_MULTIPLE * 2.0 * math.pi / float(np.median(gaps))
+                if gaps.size else 1e3 / sigma)
+    if not isinstance(points, (int, np.integer)) or points < 2:
+        raise DomainError(f"--tpoints must be an integer >= 2, got {points}")
+    if not (math.isfinite(tmax) and tmax > 0):
+        raise DomainError(f"--tmax must be positive, got {tmax}")
+    if log:
+        tmin = 1e-2 / sigma
+        if tmax <= tmin:
+            raise DomainError(
+                f"--tmax {tmax} is below the smallest grid time {tmin:.3g}")
+        return np.geomspace(tmin, tmax, points)
+    return np.linspace(0.0, tmax, points)
+
+
 def _spectrum(source) -> Spectrum:
     return source if isinstance(source, Spectrum) else eigendecompose(source)
 
@@ -199,11 +231,3 @@ def long_time_average(source) -> LongTimeAverages:
         weights += (vecs[:, lo:hi] @ vecs[0, lo:hi]) ** 2
     c_bar = float(np.arange(spectrum.K) @ weights)
     return LongTimeAverages(c_bar=c_bar, f_bar=float(weights[0]))
-
-
-def write_sidecar(avg: LongTimeAverages, depth: int, path) -> None:
-    """JSON sidecar next to the t,C,F series."""
-    with open(path, "w") as fh:
-        json.dump({"C_bar": avg.c_bar, "F_bar": avg.f_bar, "K": depth},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")

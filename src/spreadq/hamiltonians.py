@@ -223,18 +223,33 @@ def domain_wall_state(spec: SpinChainSpec) -> StateVector:
     return StateVector(amplitudes)
 
 
-def ldos_summary(ham, psi0):
-    """Mean and variance of the LDOS from two matrix-vector products."""
+def matrix_and_state(ham, psi0):
+    """``(H, psi0)``, each a ``SectorHamiltonian``/``StateVector`` or an
+    array, as a real square matrix and a real unit vector of its order."""
     matrix = ham.H if isinstance(ham, SectorHamiltonian) else np.asarray(ham)
     vec = psi0.amplitudes if isinstance(psi0, StateVector) \
         else np.asarray(psi0)
-    if matrix.shape[0] != vec.shape[0]:
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DomainError(f"H must be square, got shape {matrix.shape}")
+    if vec.shape != (matrix.shape[0],):
         raise DomainError(
             f"dimension mismatch: H is {matrix.shape[0]}, state is "
-            f"{vec.shape[0]}")
+            f"{vec.shape}")
+    if np.iscomplexobj(matrix) or np.iscomplexobj(vec):
+        raise DomainError("H and psi0 must be real")
+    norm = np.linalg.norm(vec)
+    if abs(norm - 1.0) > 1e-12:
+        raise NormalizationError(
+            f"psi0 norm deviates from 1 by {abs(norm - 1.0):.3e}")
+    return matrix, vec
+
+
+def ldos_summary(ham, psi0):
+    """Mean and variance of the LDOS from two matrix-vector products."""
+    matrix, vec = matrix_and_state(ham, psi0)
     hpsi = matrix @ vec
-    e0 = float(np.real(np.vdot(vec, hpsi)))
-    second = float(np.real(np.vdot(hpsi, hpsi)))
+    e0 = float(vec @ hpsi)
+    second = float(hpsi @ hpsi)
     var = second - e0 ** 2
     if var < 0:
         var = 0.0

@@ -154,7 +154,6 @@ _VARIANTS = {
     "frm": FrmSurvival,
     "spin": SpinSurvival,
 }
-_VARIANT_NAMES = {cls: name for name, cls in _VARIANTS.items()}
 
 
 @dataclass(frozen=True)
@@ -388,29 +387,9 @@ def moments_of_model(model: AmplitudeModel, order: int,
         "density; only amplitude models do")
 
 
-def model_to_dict(model: AutocorrModel) -> dict:
-    """JSON-ready dict with a ``variant`` tag plus the model parameters."""
-    name = _VARIANT_NAMES.get(type(model))
-    if name is None:
-        raise VariantError(f"unknown model type {type(model).__name__}")
-    out = {"variant": name}
-    if isinstance(model, (GaussianAutocorr, TruncatedQuadraticAutocorr)):
-        out["sigma0"] = model.sigma0
-    elif isinstance(model, InterpolationAutocorr):
-        out["sigma0"] = model.sigma0
-        out["gamma"] = model.gamma
-    elif isinstance(model, SemicircleAutocorr):
-        out["alpha"] = model.alpha
-    elif isinstance(model, FrmSurvival):
-        out["dim"] = model.dim
-    elif isinstance(model, SpinSurvival):
-        out.update({"sigma0": model.sigma0, "dim": model.dim,
-                    "amplitude": model.amplitude, "fbar": model.fbar})
-    return out
-
-
 def model_from_dict(data: dict) -> AutocorrModel:
-    """Inverse of ``model_to_dict``; unknown variants or keys are rejected."""
+    """The model named by ``data["variant"]``, with the remaining keys as
+    its parameters; unknown variants or keys are rejected."""
     if "variant" not in data:
         raise DomainError("model dict needs a 'variant' key")
     name = data["variant"]

@@ -40,6 +40,7 @@ from spreadq import (
     sample_goe,
     sector_basis,
     spread_complexity,
+    time_grid,
 )
 from spreadq.errors import DomainError, PositivityError
 
@@ -59,12 +60,9 @@ def build_spin_member(L: int, h: float, stream: int):
 
 
 def saturation_grid(lc, points: int) -> np.ndarray:
-    """Log grid from 1e-2/b1 out to 20 Heisenberg times of the spectrum."""
+    """The command line's log grid: 1e-2/b1 out to 20 Heisenberg times."""
     lam = np.sort(eigh_tridiagonal(lc.a, lc.b, eigvals_only=True))
-    gaps = np.diff(lam)
-    gaps = gaps[gaps > 1e-12 * abs(lam).max()]
-    t_end = 20.0 * 2.0 * math.pi / float(np.median(gaps))
-    return np.geomspace(1e-2 / lc.b[0], t_end, points)
+    return time_grid(lam, float(lc.b[0]), points)
 
 
 def mean_spread_series(members: dict, times: np.ndarray):

@@ -14,11 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 import spreadq
 import spreadq.cli
-from spreadq import AssemblyError, _lapack, matrix_lanczos
+from spreadq import AssemblyError, LapackError, _lapack
 
 # Directory holding the spreadq package this process imported (``src/`` or
 # site-packages). It goes first on the child's PYTHONPATH, so the child runs
@@ -61,6 +60,9 @@ def test_model_gaussian_writes_expected_artifacts(tmp_path):
     fits = json.loads((out / "fits.json").read_text())
     assert fits["bn_power"]["params"]["n2"] == pytest.approx(0.5, abs=1e-6)
     assert fits["b1"] == pytest.approx(1.0)
+    averages = json.loads((out / "averages.json").read_text())
+    assert averages == {"C_bar": fits["long_time_average"]["C_bar"],
+                        "F_bar": fits["long_time_average"]["F_bar"], "K": 16}
 
 
 def test_model_missing_required_flag_exits_2_without_files(tmp_path):
@@ -299,38 +301,17 @@ def test_model_diagonalizes_once(tmp_path, eigensolve_calls):
 
 
 def test_dsytrd_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # the two-stage binding reports a nonzero info
-    def failing(a):
-        n = a.shape[0]
-        return np.zeros(n), np.zeros(n - 1), 1
+    # the two-stage routine reports a nonzero INFO, its 13th argument
+    def failing(*args):
+        args[12].value = 1
 
-    monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", failing)
-    code = spreadq.cli.main(["frm", "--dim", "30", "--realizations", "1",
-                             "--tpoints", "20", "--out",
-                             str(tmp_path / "run")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "LapackError" in err and "info=1" in err
-
-
-def test_dsytrd_fallback_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # without the two-stage routine, lapack.dsytrd runs and its info counts
-    calls = []
-
-    def failing(a, *args, **kwargs):
-        calls.append(a.shape[0])
-        n = a.shape[0]
-        return a, np.zeros(n), np.zeros(n - 1), np.zeros(n - 1), 1
-
-    monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", None)
-    monkeypatch.setattr(lapack, "dsytrd", failing)
+    monkeypatch.setattr(_lapack, "_SYTRD_2STAGE", failing)
     out = tmp_path / "run"
     code = spreadq.cli.main(["frm", "--dim", "30", "--realizations", "1",
                              "--tpoints", "20", "--out", str(out)])
     assert code == 3
-    assert calls == [30]
     err = capsys.readouterr().err
-    assert "LapackError" in err and "dsytrd failed with info=1" in err
+    assert "LapackError" in err and "dsytrd_2stage failed with info=1" in err
     assert not out.exists()
 
 
@@ -376,17 +357,16 @@ def test_numerical_failure_leaves_no_run_directory(tmp_path, monkeypatch,
                                                    realizations,
                                                    failing_call):
     # member 0 fails before the grid is fixed; member 1 fails after it
-    kernel = matrix_lanczos._dsytrd_2stage
+    kernel = _lapack.dsytrd_2stage
     calls = []
 
     def failing_once(a):
         calls.append(a.shape[0])
         if len(calls) == failing_call:
-            n = a.shape[0]
-            return np.zeros(n), np.zeros(n - 1), 1
+            raise LapackError("dsytrd_2stage failed with info=1")
         return kernel(a)
 
-    monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", failing_once)
+    monkeypatch.setattr(_lapack, "dsytrd_2stage", failing_once)
     out = tmp_path / "run"
     code = spreadq.cli.main(["frm", "--dim", "30", "--realizations",
                              str(realizations), "--tpoints", "20",
@@ -403,26 +383,116 @@ FRM = ("frm", "--dim", "30", "--realizations", "1")
 SPIN = ("spin", "--L", "4", "--h", "0.1", "--realizations", "1")
 
 
-@pytest.mark.parametrize("command, two_stage, kernel", [
-    pytest.param(FRM, True, "dsytrd_2stage", id="frm"),
-    pytest.param(SPIN, True, "dsytrd_2stage", id="spin"),
-    pytest.param(FRM, False, "dsytrd", id="frm-fallback"),
-    pytest.param(FRM + ("--K", "5"), True, "lanczos", id="frm-K"),
-    pytest.param(SPIN + ("--K", "3"), True, "lanczos", id="spin-K"),
-    pytest.param(GAUSSIAN, True, None, id="model"),
+@pytest.mark.parametrize("command, kernel", [
+    pytest.param(FRM, "dsytrd_2stage", id="frm"),
+    pytest.param(SPIN, "dsytrd_2stage", id="spin"),
+    pytest.param(FRM + ("--K", "5"), "lanczos", id="frm-K"),
+    pytest.param(SPIN + ("--K", "3"), "lanczos", id="spin-K"),
+    pytest.param(GAUSSIAN, None, id="model"),
 ])
-def test_manifest_records_tridiagonalization(tmp_path, monkeypatch, command,
-                                             two_stage, kernel):
+def test_manifest_records_tridiagonalization(tmp_path, command, kernel):
     # only frm and spin reduce a matrix; model has no such entry
-    if two_stage and matrix_lanczos._dsytrd_2stage is None:
-        pytest.skip("scipy's LAPACK library lacks dsytrd_2stage")
-    if not two_stage:
-        monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", None)
     out = tmp_path / "run"
     assert spreadq.cli.main([*command, "--tpoints", "20",
                              "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest.get("tridiagonalization") == kernel
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(FRM + ("--K", "31"), id="frm-K-above-dimension"),
+    pytest.param(SPIN + ("--K", "7"), id="spin-K-above-dimension"),
+    pytest.param(FRM + ("--tpoints", "1"), id="tpoints-1"),
+    pytest.param(FRM + ("--tmax", "-1"), id="tmax-negative"),
+    pytest.param(FRM + ("--tmax", "inf"), id="tmax-inf"),
+    pytest.param(FRM + ("--tmax", "0", "--no-log-grid"), id="tmax-0-linear"),
+    pytest.param(FRM + ("--tmax", "1e-6"), id="tmax-below-log-grid"),
+    pytest.param(("frm", "--dim", "2", "--K", "1"), id="krylov-dimension-1"),
+    pytest.param(("frm", "--dim", "30", "--realizations", "0"),
+                 id="realizations-0"),
+    pytest.param(("spin", "--L", "2", "--h", "0.1", "--compare-smaller"),
+                 id="no-smaller-chain"),
+])
+def test_ensemble_config_errors_exit_2_without_run_directory(tmp_path,
+                                                             command):
+    out = tmp_path / "never"
+    assert spreadq.cli.main([*command, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(("model", "--variant", "truncated_quadratic", "--sigma0",
+                  "1", "--K", "6"), "formal", "false", id="formal-string"),
+    pytest.param(GAUSSIAN, "tmax", "5", id="tmax-string"),
+    pytest.param(("model", "--variant", "gaussian", "--K", "8"), "sigma0",
+                 "1", id="sigma0-string"),
+    pytest.param(SPIN, "g", "x", id="g-string"),
+    pytest.param(("fit", "--coeffs", "coeffs.csv", "--kind", "power"),
+                 "window", [1], id="window-one-number"),
+    pytest.param(("b2-table",), "times", 5, id="times-number"),
+])
+def test_config_file_values_must_have_their_flag_type(tmp_path, capsys,
+                                                      command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "never"
+    code = spreadq.cli.main([*command, "--config", str(cfg),
+                             "--out", str(out)])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_takes_times_as_a_list(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"times": [0, 0.5]}))
+    out = tmp_path / "tab"
+    assert spreadq.cli.main(["b2-table", "--config", str(cfg),
+                             "--out", str(out)]) == 0
+    data = np.loadtxt(out / "b2.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(data[:, 0], [0.0, 0.5])
+
+
+def test_out_must_be_absent_or_empty(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    frm = ["frm", "--dim", "30", "--tpoints", "20", "--out", str(out)]
+    assert spreadq.cli.main([*frm, "--realizations", "3"]) == 0
+
+    def contents():
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    before = contents()
+    # fewer members would leave the stale member files of the first run;
+    # fit would overwrite the run's own fits.json and manifest.json
+    for argv in ([*frm, "--realizations", "1"],
+                 ["fit", "--coeffs", str(out / "coeffs_mean.csv"),
+                  "--kind", "power", "--out", str(out)]):
+        assert spreadq.cli.main(argv) == 2
+        assert f"--out {out} exists and is not empty" in \
+            capsys.readouterr().err
+        assert contents() == before
+
+
+# bench/refcheck.py checks a run against exact references, rebuilding
+# member 0 through the library's own entry points
+REFCHECK = Path(__file__).resolve().parent.parent / "bench" / "refcheck.py"
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(("frm", "--dim", "64", "--realizations", "2"), id="frm"),
+    pytest.param(("frm", "--dim", "64", "--realizations", "2", "--K", "16"),
+                 id="frm-K"),
+    pytest.param(("spin", "--L", "8", "--h", "0.4", "--realizations", "2"),
+                 id="spin"),
+    pytest.param(INTERPOLATION, id="model"),
+])
+def test_runs_pass_reference_checks(tmp_path, command):
+    argv = [*command, "--seed", "1", "--out", str(tmp_path / "run")]
+    assert spreadq.cli.main(argv) == 0
+    proc = run_python(str(REFCHECK), *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["violations"] == []
 
 
 @pytest.mark.parametrize("command, flag, value", [

@@ -4,7 +4,7 @@ The cross-representation oracle evolves the same state in the original basis
 with scipy's expm and projects onto the Krylov vectors; the Krylov-side
 amplitudes must reproduce it.
 """
-import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +22,7 @@ from spreadq.evolution import (
     evolve_amplitudes,
     long_time_average,
     spread_complexity,
-    write_sidecar,
+    time_grid,
 )
 from spreadq.matrix_lanczos import lanczos_tridiagonalize
 
@@ -165,6 +165,34 @@ def test_time_grid_validation():
         evolve_amplitudes(lc, np.array([]))
 
 
+def test_time_grid_ends_at_twenty_heisenberg_times():
+    # gaps 1, 0.5 and 1.5: the median level spacing is 1
+    values = np.array([-1.0, 0.0, 0.5, 2.0])
+    grid = time_grid(values, 2.0, 5)
+    assert grid[0] == pytest.approx(5e-3, rel=1e-15)
+    assert grid[-1] == pytest.approx(40.0 * math.pi, rel=1e-15)
+    assert np.allclose(np.diff(np.log(grid)), np.log(grid[1] / grid[0]))
+    # gaps below 1e-12 of the spectral scale are degeneracies, not levels
+    degenerate = np.array([0.0, 1e-13, 2e-13, 1.0, 2.0])
+    assert time_grid(degenerate, 2.0, 5)[-1] == pytest.approx(40.0 * math.pi)
+    # no level spacing at all: the grid ends at 1e3/sigma
+    assert time_grid(np.array([3.0, 3.0]), 2.0, 5)[-1] == pytest.approx(500.0)
+    assert np.array_equal(time_grid(values, 2.0, 3, tmax=4.0, log=False),
+                          [0.0, 2.0, 4.0])
+
+
+@pytest.mark.parametrize("points, tmax, log, message", [
+    (1, None, True, "--tpoints must be an integer >= 2"),
+    (5, -1.0, True, "--tmax must be positive"),
+    (5, math.inf, True, "--tmax must be positive"),
+    (5, 0.0, False, "--tmax must be positive"),
+    (5, 1e-3, True, "below the smallest grid time 0.005"),
+])
+def test_time_grid_rejects_bad_ends(points, tmax, log, message):
+    with pytest.raises(DomainError, match=message):
+        time_grid(np.array([0.0, 1.0]), 2.0, points, tmax=tmax, log=log)
+
+
 def test_denormalized_amplitudes_rejected_on_construction():
     # the one normalization check: spread_complexity relies on it
     amp = evolve_amplitudes(two_level(), np.linspace(0, 1, 5))
@@ -210,12 +238,10 @@ def test_series_csv_and_sidecar(tmp_path):
     back = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(back[:, 1], series.C, atol=1e-16)
 
-    side_path = tmp_path / "series.json"
-    write_sidecar(long_time_average(lc), lc.K, side_path)
-    data = json.loads(side_path.read_text())
-    assert data["K"] == 2
-    assert data["C_bar"] == pytest.approx(0.5, rel=1e-12)
-    assert data["F_bar"] == pytest.approx(0.5, rel=1e-12)
+    # the long-time averages written next to the model's series
+    avg = long_time_average(lc)
+    assert avg.c_bar == pytest.approx(0.5, rel=1e-12)
+    assert avg.f_bar == pytest.approx(0.5, rel=1e-12)
 
 
 def philox(seed):

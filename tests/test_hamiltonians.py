@@ -207,6 +207,16 @@ def test_ldos_summary_dimension_mismatch():
         ldos_summary(np.eye(3), np.array([1.0, 0.0]))
 
 
+def test_ldos_summary_rejects_complex_or_unnormalized_input():
+    psi = np.array([1.0, 0.0])
+    with pytest.raises(DomainError, match="real"):
+        ldos_summary(np.eye(2, dtype=complex), psi)
+    with pytest.raises(DomainError, match="real"):
+        ldos_summary(np.eye(2), psi.astype(complex))
+    with pytest.raises(NormalizationError):
+        ldos_summary(np.eye(2), 2.0 * psi)
+
+
 def test_state_vector_norm_enforced():
     with pytest.raises(NormalizationError):
         StateVector(np.array([1.0, 1.0]))

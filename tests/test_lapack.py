@@ -72,7 +72,7 @@ def test_shapes_and_indices_checked():
 
 
 # position of INFO among each raw routine's arguments
-INFO_ARGUMENT = {"_STEVD": 10, "_STEBZ": 17}
+INFO_ARGUMENT = {"_STEVD": 10, "_STEBZ": 17, "_SYTRD_2STAGE": 12}
 
 
 def failing_routine(info_argument):
@@ -85,6 +85,7 @@ def failing_routine(info_argument):
 @pytest.mark.parametrize("routine, call", [
     ("_STEVD", lambda: _lapack.dstevd(np.ones(4), np.ones(3))),
     ("_STEBZ", lambda: _lapack.dstebz(np.ones(4), np.ones(3), 0)),
+    ("_SYTRD_2STAGE", lambda: _lapack.dsytrd_2stage(np.eye(4, order="F"))),
 ])
 def test_nonzero_info_raises_lapack_error(monkeypatch, routine, call):
     monkeypatch.setattr(_lapack, routine,

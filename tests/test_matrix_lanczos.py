@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 from spreadq import (
     DomainError,
     NormalizationError,
-    matrix_lanczos,
+    _lapack,
     moments_to_lanczos,
 )
 from spreadq.hamiltonians import (
@@ -23,7 +23,6 @@ from spreadq.hamiltonians import (
 )
 from spreadq.matrix_lanczos import (
     householder_hessenberg,
-    householder_kernel,
     lanczos_tridiagonalize,
     spectral_norm_estimate,
 )
@@ -184,8 +183,12 @@ def test_input_validation():
         lanczos_tridiagonalize(ham, psi0, 0)
     with pytest.raises(DomainError):
         lanczos_tridiagonalize(ham, np.array([1.0, 0.0]), 2)
-    with pytest.raises(DomainError):
-        householder_hessenberg(ham, psi0.astype(complex))
+    for complex_pair in ((ham, psi0.astype(complex)),
+                         (ham.astype(complex), psi0)):
+        with pytest.raises(DomainError, match="real"):
+            householder_hessenberg(*complex_pair)
+        with pytest.raises(DomainError, match="real"):
+            lanczos_tridiagonalize(*complex_pair, 3)
 
 
 def test_spectral_norm_estimate_close():
@@ -241,44 +244,39 @@ def test_householder_leaves_caller_matrix_untouched(order, start_kind):
     assert np.array_equal(ham, before)
 
 
-@pytest.fixture(params=["dsytrd_2stage", "dsytrd"])
-def kernel(request, monkeypatch):
-    """Run householder_hessenberg on each LAPACK reduction it can use.
+# the two LAPACK reductions to tridiagonal form, each returning (d, e)
+REDUCTIONS = {
+    "dsytrd_2stage": _lapack.dsytrd_2stage,
+    "dsytrd": lambda a: lapack.dsytrd(a, lower=1)[1:3],
+}
 
-    Returns the kernel name and, for the ``dsytrd`` fallback, the orders of
-    the ``lapack.dsytrd`` calls.  The fallback is forced by resolving the
-    ``dsytrd_2stage`` binding to None, as when scipy's LAPACK library lacks
-    the routine.
-    """
-    if request.param == "dsytrd_2stage":
-        if matrix_lanczos._dsytrd_2stage is None:
-            pytest.skip("scipy's LAPACK library lacks dsytrd_2stage")
-        return request.param, None
-    fallback = lapack.dsytrd
-    calls = []
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape[0])
-        return fallback(a, *args, **kwargs)
-
-    monkeypatch.setattr(matrix_lanczos, "_dsytrd_2stage", None)
-    monkeypatch.setattr(lapack, "dsytrd", counted)
-    return request.param, calls
+def reference_tridiagonal(ham, start, reduction):
+    """a_n and |b_n| of H from ``start``, computed apart from the code under
+    test: a dense reflector sending e1 to +-start, then ``reduction``."""
+    v = start.copy()
+    v[0] += 1.0 if start[0] >= 0 else -1.0
+    reflector = np.eye(start.size) - 2.0 * np.outer(v, v) / (v @ v)
+    rotated = np.asfortranarray(reflector @ ham @ reflector)
+    d, e = REDUCTIONS[reduction](rotated)
+    return d, np.abs(e)
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 300])
 @pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
-def test_householder_matches_exact_references(kernel, n, start_kind):
-    name, fallback_calls = kernel
+@pytest.mark.parametrize("reduction", list(REDUCTIONS))
+def test_householder_matches_exact_references(reduction, n, start_kind):
     ham, general = random_symmetric(n, seed=40 + n)
     start = {"e0": unit_vector(n, 0), "ej": unit_vector(n, n - 1),
              "general": general}[start_kind]
     lc = householder_hessenberg(ham, start)
-    assert householder_kernel() == name
-    if fallback_calls is not None:
-        assert fallback_calls == [n]
     assert lc.K == n
     norm = np.max(np.abs(np.linalg.eigvalsh(ham)))
+    # every coefficient against the named reduction of the test's own
+    # rotation, which shares no code with householder_hessenberg's
+    d, e = reference_tridiagonal(ham, start, reduction)
+    np.testing.assert_allclose(lc.a, d, rtol=0, atol=1e-10 * norm)
+    np.testing.assert_allclose(lc.b, e, rtol=0, atol=1e-10 * norm)
     # (T^k)_00 against <psi|H^k|psi>, both by repeated matrix-vector products
     tri = np.diag(lc.a) + np.diag(lc.b, 1) + np.diag(lc.b, -1)
     t_vec, h_vec = unit_vector(n, 0), start.copy()

@@ -27,7 +27,6 @@ from spreadq import (
     eval_frm_sp,
     eval_spin_sp,
     model_from_dict,
-    model_to_dict,
     moments_of_model,
 )
 
@@ -327,17 +326,17 @@ def test_moments_of_model_validation():
 
 
 def test_model_dict_roundtrip():
-    models = [
-        GaussianAutocorr(0.7),
-        TruncatedQuadraticAutocorr(1.5),
-        InterpolationAutocorr(2.0, 0.5),
-        SemicircleAutocorr(1.1),
-        FrmSurvival(dim=1000),
-        SpinSurvival(**SPIN_PARAMS),
+    cases = [
+        ({"variant": "gaussian", "sigma0": 0.7}, GaussianAutocorr(0.7)),
+        ({"variant": "truncated_quadratic", "sigma0": 1.5},
+         TruncatedQuadraticAutocorr(1.5)),
+        ({"variant": "interpolation", "sigma0": 2.0, "gamma": 0.5},
+         InterpolationAutocorr(2.0, 0.5)),
+        ({"variant": "semicircle", "alpha": 1.1}, SemicircleAutocorr(1.1)),
+        ({"variant": "frm", "dim": 1000}, FrmSurvival(dim=1000)),
+        ({"variant": "spin", **SPIN_PARAMS}, SpinSurvival(**SPIN_PARAMS)),
     ]
-    for model in models:
-        data = model_to_dict(model)
-        assert isinstance(data["variant"], str)
+    for data, model in cases:
         assert model_from_dict(data) == model
 
 
