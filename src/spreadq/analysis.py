@@ -12,7 +12,7 @@ the conventions declared here:
   CURVATURE_LIMIT: a power law has none, a Gaussian is all curvature
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .evolution import SpreadComplexitySeries
 from .moment_lanczos import LanczosCoefficients
 
 CURVATURE_LIMIT = 0.5
+# envelope segments per decade of t in fit_decay_exponent
+SEGMENTS_PER_DECADE = 10
 GOE_TAIL_EXCLUSION = 20
 PLATEAU_DECADE = 10.0
 SATURATION_MARGIN = 10.0
@@ -54,11 +56,11 @@ class FitResult:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Counts over contiguous bins; CSV schema bin_lo,bin_hi,count."""
+    """Counts over contiguous Freedman-Diaconis bins; CSV schema
+    bin_lo,bin_hi,count."""
 
     edges: np.ndarray
     counts: np.ndarray
-    binning: str
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -70,7 +72,7 @@ class Histogram:
 
 @dataclass(frozen=True)
 class RegimeStats:
-    """Coefficient statistics of one parameter regime."""
+    """Coefficient statistics of the realizations of one run."""
 
     var_a: float
     var_b: float
@@ -90,11 +92,6 @@ class EnsembleSeries:
     mean_F: np.ndarray
     stderr_C: np.ndarray
     stderr_F: np.ndarray
-    seeds: tuple = field(default_factory=tuple)
-
-    @property
-    def realizations(self) -> int:
-        return self.members_C.shape[0]
 
 
 def _window_slice(n_values, window, minimum_points):
@@ -176,21 +173,17 @@ def fit_goe_profile(b, dim: int, window: tuple | None = None) -> FitResult:
                      residual_rms=rms, window=tuple(window))
 
 
-def fit_decay_exponent(series, window: tuple, envelope: bool = False,
-                       segments_per_decade: int = 10) -> FitResult:
+def fit_decay_exponent(series, window: tuple,
+                       envelope: bool = False) -> FitResult:
     """Fit F(t) = A * t^-gamma on log-log axes inside [t_lo, t_hi].
 
-    ``envelope=True`` first reduces the window to per-segment maxima on a
-    logarithmic segmentation, which strips oscillations (Bessel zeros) off
-    an oscillatory decay.  A quadratic log-log term larger than
-    CURVATURE_LIMIT rejects the fit: the data is then not a power law.
+    ``series`` is the pair ``(t, F)``.  ``envelope=True`` first reduces the
+    window to per-segment maxima on a logarithmic segmentation, which strips
+    oscillations (Bessel zeros) off an oscillatory decay.  A quadratic
+    log-log term larger than CURVATURE_LIMIT rejects the fit: the data is
+    then not a power law.
     """
-    if isinstance(series, SpreadComplexitySeries):
-        times, values = series.times, series.F
-    else:
-        times, values = series
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
+    times, values = (np.asarray(v, dtype=float) for v in series)
     t_lo, t_hi = window
     if not (t_lo > 0 and t_hi > t_lo):
         raise FitError(f"decay window must satisfy 0 < t_lo < t_hi, "
@@ -205,7 +198,7 @@ def fit_decay_exponent(series, window: tuple, envelope: bool = False,
 
     if envelope:
         decades = math.log10(t_hi / t_lo)
-        segments = max(3, int(round(decades * segments_per_decade)))
+        segments = max(3, int(round(decades * SEGMENTS_PER_DECADE)))
         edges = np.geomspace(t_lo, t_hi, segments + 1)
         t_pts, f_pts = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -237,31 +230,27 @@ def fit_decay_exponent(series, window: tuple, envelope: bool = False,
                      residual_rms=rms, window=(float(t_lo), float(t_hi)))
 
 
-def _histogram(data: np.ndarray, binning: str = "fd") -> Histogram:
-    counts, edges = np.histogram(data, bins=binning)
-    return Histogram(edges=edges, counts=counts, binning=binning)
+def _histogram(data: np.ndarray) -> Histogram:
+    counts, edges = np.histogram(data, bins="fd")
+    return Histogram(edges=edges, counts=counts)
 
 
-def coefficient_stats(regimes: dict, binning: str = "fd") -> dict:
-    """Per-regime variance and histograms of pooled {a_n} and {b_n}.
+def coefficient_stats(lc_list) -> RegimeStats:
+    """Variance and histograms of the pooled {a_n} and {b_n} of a list of
+    LanczosCoefficients realizations.
 
-    ``regimes`` maps a label to a list of LanczosCoefficients realizations.
     The variance is computed per realization over its full profile and then
     averaged across realizations.
     """
-    out = {}
-    for label, lc_list in regimes.items():
-        if not lc_list:
-            raise FitError(f"regime {label!r} has no realizations")
-        var_a = float(np.mean([np.var(lc.a) for lc in lc_list]))
-        var_b = float(np.mean([np.var(lc.b) for lc in lc_list]))
-        pooled_a = np.concatenate([lc.a for lc in lc_list])
-        pooled_b = np.concatenate([lc.b for lc in lc_list])
-        out[label] = RegimeStats(var_a=var_a, var_b=var_b,
-                                 hist_a=_histogram(pooled_a, binning),
-                                 hist_b=_histogram(pooled_b, binning),
-                                 realizations=len(lc_list))
-    return out
+    if not lc_list:
+        raise FitError("need at least one realization")
+    pooled_a = np.concatenate([lc.a for lc in lc_list])
+    pooled_b = np.concatenate([lc.b for lc in lc_list])
+    return RegimeStats(
+        var_a=float(np.mean([np.var(lc.a) for lc in lc_list])),
+        var_b=float(np.mean([np.var(lc.b) for lc in lc_list])),
+        hist_a=_histogram(pooled_a), hist_b=_histogram(pooled_b),
+        realizations=len(lc_list))
 
 
 def detect_peak_plateau(series: SpreadComplexitySeries) -> dict:
@@ -345,5 +334,4 @@ def ensemble_average(run, seeds) -> EnsembleSeries:
         stderr_f = np.zeros(times.size)
     return EnsembleSeries(times=times, members_C=members_c,
                           members_F=members_f, mean_C=mean_c, mean_F=mean_f,
-                          stderr_C=stderr_c, stderr_F=stderr_f,
-                          seeds=tuple(ordered))
+                          stderr_C=stderr_c, stderr_F=stderr_f)

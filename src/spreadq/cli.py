@@ -9,9 +9,10 @@ fit       re-fit an existing coefficient or series CSV
 b2-table  two-level form factor values on a time grid
 
 Configuration precedence: command-line flags override the JSON file given
-with ``--config``, which overrides built-in defaults.  A config-file value
-must have the type of its flag.  ``--out`` must be absent or empty.  Exit
-codes: 0 on success, 2 for configuration errors, 3 for numerical failures.
+with ``--config``, which overrides the defaults each flag declares (shown by
+``--help``).  A config-file value must have the type of its flag.  ``--out``
+must be absent or empty.  Exit codes: 0 on success, 2 for configuration
+errors, 3 for numerical failures.
 
 All randomness flows from the master ``--seed``; ensemble member r uses
 counter stream r, so member sets are reproducible and order-independent.
@@ -72,128 +73,91 @@ AMPLITUDE_VARIANTS = ("gaussian", "semicircle", "interpolation",
                       "truncated_quadratic")
 FIT_KINDS = ("power", "linear", "goe", "decay")
 
-_COMMON_DEFAULTS = {
-    "out": None,
-    "seed": 0,
-    "tmax": None,
-    "tpoints": 600,
-    "log_grid": True,
-}
 
-DEFAULTS = {
-    "model": {
-        **_COMMON_DEFAULTS,
-        "variant": None,
-        "sigma0": None,
-        "alpha": None,
-        "gamma": None,
-        "depth": 40,
-        "formal": False,
-        "precision_bits": None,
-    },
-    "frm": {
-        **_COMMON_DEFAULTS,
-        "dim": None,
-        "realizations": 3,
-        "depth": None,
-    },
-    "spin": {
-        **_COMMON_DEFAULTS,
-        "L": None,
-        "h": None,
-        "g": 1.0,
-        "realizations": 1,
-        "depth": None,
-        "compare_smaller": False,
-    },
-    "fit": {
-        "out": None,
-        "coeffs": None,
-        "series": None,
-        "kind": None,
-        "window": None,
-        "origin": False,
-        "envelope": False,
-        "dim": None,
-    },
-    "b2-table": {
-        "out": None,
-        "times": "0,0.5,1,2,10",
-    },
-}
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """``--help`` shows the declared default of every flag that has one."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The command-line parser and its command parsers, by name.  Each flag
+    declares its default here, and nowhere else."""
     parser = argparse.ArgumentParser(
         prog="spreadq",
         description="Spread-complexity pipelines for quantum quenches")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, grid=True):
+    def command(name, help, grid=True):
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", help=f"output directory (default: {name}-out)")
         if grid:
-            p.add_argument("--seed", type=int, help="master RNG seed (u64)")
-            p.add_argument("--tmax", type=float, help="largest grid time")
-            p.add_argument("--tpoints", type=int, help="grid size")
+            p.add_argument("--seed", type=int, default=0,
+                           help="master RNG seed (u64)")
+            p.add_argument("--tmax", type=float, help="largest grid time "
+                           "(default: set by the spectrum)")
+            p.add_argument("--tpoints", type=int, default=600,
+                           help="grid size")
             p.add_argument("--log-grid", dest="log_grid",
                            action=argparse.BooleanOptionalAction,
-                           default=None,
-                           help="logarithmic (default) or linear time grid")
+                           default=True,
+                           help="logarithmic or linear time grid")
+        return p
 
-    p_model = sub.add_parser("model", help="closed-form amplitude models")
-    add_common(p_model)
+    p_model = command("model", "closed-form amplitude models")
     p_model.add_argument("--variant", choices=AMPLITUDE_VARIANTS)
     p_model.add_argument("--sigma0", type=float)
     p_model.add_argument("--alpha", type=float)
     p_model.add_argument("--gamma", type=float)
-    p_model.add_argument("--K", dest="depth", type=int,
+    p_model.add_argument("--K", dest="depth", type=int, default=40,
                          help="Krylov depth of the coefficient table")
     p_model.add_argument("--formal", action=argparse.BooleanOptionalAction,
-                         default=None,
+                         default=False,
                          help="continue through Hankel violations")
     p_model.add_argument("--precision-bits", dest="precision_bits", type=int,
-                         help="working precision floor for the moment "
-                         "pipeline")
+                         help="working precision floor of the interpolation "
+                         "variant's moment pipeline")
 
-    p_frm = sub.add_parser("frm", help="dense random-matrix ensemble")
-    add_common(p_frm)
+    p_frm = command("frm", "dense random-matrix ensemble")
     p_frm.add_argument("--dim", type=int, help="matrix dimension")
-    p_frm.add_argument("--realizations", type=int,
+    p_frm.add_argument("--realizations", type=int, default=3,
                        help="number of ensemble members")
     p_frm.add_argument("--K", dest="depth", type=int,
                        help="Krylov depth (default: full dimension)")
 
-    p_spin = sub.add_parser("spin", help="disordered-chain ensemble")
-    add_common(p_spin)
+    p_spin = command("spin", "disordered-chain ensemble")
     p_spin.add_argument("--L", type=int, help="even chain length")
     p_spin.add_argument("--h", type=float, help="disorder strength")
-    p_spin.add_argument("--g", type=float, help="coupling quenched on at t=0")
-    p_spin.add_argument("--realizations", type=int,
+    p_spin.add_argument("--g", type=float, default=1.0,
+                        help="coupling quenched on at t=0")
+    p_spin.add_argument("--realizations", type=int, default=1,
                         help="number of disorder realizations")
     p_spin.add_argument("--K", dest="depth", type=int,
                         help="Krylov depth (default: full sector)")
     p_spin.add_argument("--compare-smaller", dest="compare_smaller",
-                        action=argparse.BooleanOptionalAction, default=None,
+                        action=argparse.BooleanOptionalAction, default=False,
                         help="also run the L-2 chain into a subdirectory")
 
-    p_fit = sub.add_parser("fit", help="re-fit existing CSV artifacts")
-    add_common(p_fit, grid=False)
+    p_fit = command("fit", "re-fit existing CSV artifacts", grid=False)
     p_fit.add_argument("--coeffs", help="coefficient CSV (n,a_n,b_n)")
     p_fit.add_argument("--series", help="series CSV (t,C,F)")
     p_fit.add_argument("--kind", choices=FIT_KINDS)
     p_fit.add_argument("--window", type=float, nargs=2,
                        metavar=("LO", "HI"))
     p_fit.add_argument("--origin", action=argparse.BooleanOptionalAction,
-                       default=None, help="force the linear fit through 0")
+                       default=False, help="force the linear fit through 0")
     p_fit.add_argument("--envelope", action=argparse.BooleanOptionalAction,
-                       default=None, help="fit per-segment maxima")
+                       default=False, help="fit per-segment maxima")
     p_fit.add_argument("--dim", type=int,
                        help="matrix dimension for the goe profile fit")
 
-    p_b2 = sub.add_parser("b2-table", help="two-level form factor table")
-    add_common(p_b2, grid=False)
-    p_b2.add_argument("--times", help="comma-separated times")
+    p_b2 = command("b2-table", "two-level form factor table", grid=False)
+    p_b2.add_argument("--times", default="0,0.5,1,2,10",
+                      help="comma-separated times")
 
     return parser, sub.choices
 
@@ -216,10 +180,11 @@ def _load_config_file(path: str) -> dict:
 _FILE_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
 
-def _file_value(path: str, key: str, value, action, default):
+def _file_value(path: str, key: str, value, action):
     """A config-file value, checked against the type, arity and choices of
-    its flag.  JSON null leaves a value unset where the default is unset."""
-    if value is None and default is None:
+    its flag; where the flag takes floats, numbers become floats.  JSON null
+    leaves a value unset where the default is unset."""
+    if value is None and action.default is None:
         return None
     if action.nargs == 0:
         types, count = (bool,), None
@@ -238,38 +203,41 @@ def _file_value(path: str, key: str, value, action, default):
             and value not in action.choices:
         raise DomainError(f"{path}: config key {key!r} is not a valid "
                           f"{action.option_strings[0]} value: {value!r}")
-    return value
+    if float not in types:
+        return value
+    try:
+        items = [float(v) for v in items]
+    except OverflowError:
+        raise DomainError(f"{path}: config key {key!r} is beyond the range "
+                          f"of {action.option_strings[0]}")
+    return items[0] if count is None else items
 
 
-def _resolve_config(args: argparse.Namespace,
-                    parser: argparse.ArgumentParser) -> dict:
-    """Defaults, then the ``--config`` file, then flags; ``parser`` is the
-    command's own, whose flag declarations type the file's values.  The
-    resolved ``--out`` must be absent or empty."""
-    defaults = DEFAULTS[args.command]
-    flags = {action.dest: action for action in parser._actions}
-    config = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve_config(parser: argparse.ArgumentParser,
+                    subparser: argparse.ArgumentParser, args, argv) -> dict:
+    """Declared defaults, then the ``--config`` file, then flags: the file's
+    values, typed by the flags of ``subparser`` (the command's own parser),
+    become its defaults and ``argv`` is parsed again, so a given flag wins
+    even where it repeats its default.  ``--out`` must be absent or empty."""
+    flags = {action.dest: action for action in subparser._actions
+             if action.dest not in ("help", "config")}
+    if args.config:
         loaded = _load_config_file(args.config)
         for key, value in loaded.items():
-            if key not in defaults:
+            if key not in flags:
                 raise DomainError(
                     f"{args.config}: unknown config key {key!r} for "
                     f"command {args.command!r}")
-            config[key] = _file_value(args.config, key, value, flags[key],
-                                      defaults[key])
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
+            loaded[key] = _file_value(args.config, key, value, flags[key])
+        subparser.set_defaults(**loaded)
+        args = parser.parse_args(argv)
+    config = {key: getattr(args, key) for key in flags}
     if config["out"] is None:
         config["out"] = f"{args.command}-out"
     # a run never mixes its files with another's
     out = Path(config["out"])
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise DomainError(f"--out {out} exists and is not empty")
-    if config.get("window") is not None:
-        config["window"] = tuple(float(v) for v in config["window"])
     return config
 
 
@@ -279,18 +247,18 @@ def _require(config: dict, key: str, flag: str):
     return config[key]
 
 
-def _check_positive_int(name: str, value, minimum=1) -> int:
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+# values come typed from the parser or _file_value; only ranges are checked
+def _check_positive_int(name: str, value: int, minimum=1) -> int:
+    if value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, "
                           f"got {value}")
-    return int(value)
+    return value
 
 
-def _check_seed(value) -> int:
-    if not isinstance(value, (int, np.integer)) or not \
-            0 <= value < 2**64:
+def _check_seed(value: int) -> int:
+    if not 0 <= value < 2**64:
         raise DomainError(f"--seed must be a u64, got {value}")
-    return int(value)
+    return value
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -352,8 +320,10 @@ def _cmd_model(config: dict) -> None:
     depth = _check_positive_int("--K", config["depth"])
     seed = _check_seed(config["seed"])
     bits = config["precision_bits"]
-    if bits is not None and not (isinstance(bits, (int, np.integer))
-                                 and 1 <= bits <= MAX_PRECISION_BITS):
+    if bits is not None and variant != "interpolation":
+        raise DomainError("--precision-bits applies to the interpolation "
+                          "variant only")
+    if bits is not None and not 1 <= bits <= MAX_PRECISION_BITS:
         raise DomainError(f"--precision-bits must be an integer in "
                           f"1..{MAX_PRECISION_BITS}, got {bits}")
     params = {"variant": variant}
@@ -361,7 +331,7 @@ def _cmd_model(config: dict) -> None:
         if config[key] is not None:
             params[key] = config[key]
     model = model_from_dict(params)
-    moments = moments_of_model(model, 2 * depth, precision_bits=bits)
+    moments = moments_of_model(model, 2 * depth)
     lc = moments_to_lanczos(moments, depth, precision_bits=bits,
                             formal=config["formal"])
 
@@ -505,7 +475,7 @@ def _cmd_spin(config: dict) -> None:
     L = _require(config, "L", "--L")
     h = _require(config, "h", "--h")
     seed = _check_seed(config["seed"])
-    spec = SpinChainSpec(L=L, h=float(h), g=float(config["g"]), seed=seed)
+    spec = SpinChainSpec(L=L, h=h, g=config["g"], seed=seed)
     if config["compare_smaller"] and spec.L - 2 < 2:
         raise DomainError(f"no smaller chain below L={spec.L}")
 
@@ -515,7 +485,7 @@ def _cmd_spin(config: dict) -> None:
             domain_wall_state(spec)
 
     def histograms(out, coefficient_sets, mean_lc) -> dict:
-        stats = coefficient_stats({"run": coefficient_sets})["run"]
+        stats = coefficient_stats(coefficient_sets)
         stats.hist_a.to_csv(out / "hist_a.csv")
         stats.hist_b.to_csv(out / "hist_b.csv")
         _write_json(out / "variances.json", {
@@ -562,7 +532,7 @@ def _cmd_fit(config: dict) -> None:
             raise DomainError("--kind decay needs --window T_LO T_HI")
         t, _, f = _load_series_csv(config["series"])
         result = fit_decay_exponent((t, f), window=window,
-                                    envelope=bool(config["envelope"]))
+                                    envelope=config["envelope"])
         source = config["series"]
     else:
         if config["coeffs"] is None:
@@ -578,7 +548,7 @@ def _cmd_fit(config: dict) -> None:
             result = fit_bn_power(lc, window=window)
         elif kind == "linear":
             result = fit_bn_linear(lc, window=window,
-                                   through_origin=bool(config["origin"]))
+                                   through_origin=config["origin"])
         else:
             dim = _check_positive_int(
                 "--dim", _require(config, "dim", "--dim"), minimum=2)
@@ -595,15 +565,14 @@ def _cmd_fit(config: dict) -> None:
 
 def _cmd_b2_table(config: dict) -> None:
     started = time.perf_counter()
-    raw = config["times"]
-    if isinstance(raw, str):
+    # a string from the flag or the file, or a file's list of numbers
+    times = config["times"]
+    if isinstance(times, str):
         try:
-            times = [float(tok) for tok in raw.split(",") if tok.strip()]
+            times = [float(tok) for tok in times.split(",") if tok.strip()]
         except ValueError:
             raise DomainError(f"--times must be comma-separated numbers, "
-                              f"got {raw!r}")
-    else:
-        times = [float(v) for v in raw]
+                              f"got {config['times']!r}")
     if not times:
         raise DomainError("--times is empty")
     values = eval_b2(np.asarray(times))
@@ -630,7 +599,7 @@ def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args, commands[args.command])
+        config = _resolve_config(parser, commands[args.command], args, argv)
         _HANDLERS[args.command](config)
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)

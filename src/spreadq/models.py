@@ -86,15 +86,6 @@ class InterpolationAutocorr:
         _require_positive("sigma0", self.sigma0)
         _require_positive("gamma", self.gamma)
 
-    @property
-    def series_radius(self) -> float:
-        """Convergence radius (in t) of the moment expansion.
-
-        Set by the branch point of the square root at
-        ``t^2 = -gamma^2 / (4 sigma0^4)``.
-        """
-        return self.gamma / (2.0 * self.sigma0**2)
-
 
 @dataclass(frozen=True)
 class SemicircleAutocorr:
@@ -306,8 +297,8 @@ def _catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def _interpolation_moments(model: InterpolationAutocorr, order: int,
-                           precision_bits: int | None) -> MomentSequence:
+def _interpolation_moments(model: InterpolationAutocorr,
+                           order: int) -> MomentSequence:
     """Even moments of the interpolation model as exact rationals.
 
     With ``d = gamma^2 / (2 sigma0^2)`` and ``v = -sigma0^4 t^2 / gamma^2``
@@ -321,9 +312,9 @@ def _interpolation_moments(model: InterpolationAutocorr, order: int,
     summed below in integers over the denominator ``q^n`` of ``d^n``.  The
     values equal the binomial-series recursion ``e_n = (1/n) sum_k k p_k
     e_(n-k)`` (Brent & Kung 1978), which ``bench/refcheck.py`` keeps as an
-    independent oracle.  The sequence is tagged with a working precision,
-    so ``moments_to_lanczos`` converts it with the escalating ``mpmath``
-    recursion rather than the far slower ``Fraction`` one.
+    independent oracle.  The sequence is tagged with the 128-bit floor of
+    the escalating ``mpmath`` recursion, so ``moments_to_lanczos`` converts
+    it on that route rather than the far slower ``Fraction`` one.
     """
     s2 = Fraction(model.sigma0) ** 2
     g2 = Fraction(model.gamma) ** 2
@@ -341,27 +332,22 @@ def _interpolation_moments(model: InterpolationAutocorr, order: int,
         values[2 * n] = Fraction(
             math.factorial(2 * n) // math.factorial(n) * total, q**n) \
             * (s2 * s2 / g2) ** n
-    return MomentSequence(tuple(values),
-                          precision_bits=max(128, precision_bits or 0))
+    return MomentSequence(tuple(values), precision_bits=128)
 
 
-def moments_of_model(model: AmplitudeModel, order: int,
-                     precision_bits: int | None = None) -> MomentSequence:
+def moments_of_model(model: AmplitudeModel, order: int) -> MomentSequence:
     """Power moments mu_0..mu_order of the density implied by a model.
 
     Every amplitude model gives exact rationals in its binary parameters.
     The Gaussian, semicircle and truncated-quadratic sequences carry
     ``precision_bits=None`` (exact ``Fraction`` recursion in
-    ``moments_to_lanczos``); the interpolation sequence carries
-    ``max(128, precision_bits)``, the floor of the ``mpmath`` recursion.
-    Survival-probability models have no single implied density and raise
-    ``VariantError``.
+    ``moments_to_lanczos``); the interpolation sequence carries 128, which
+    sends it through the ``mpmath`` recursion, whose working precision
+    ``moments_to_lanczos`` sets.  Survival-probability models have no
+    single implied density and raise ``VariantError``.
     """
     if not isinstance(order, (int, np.integer)) or order < 2 or order % 2:
         raise DomainError(f"order must be an even integer >= 2, got {order}")
-    if order > 20 and precision_bits is not None and precision_bits < 128:
-        raise DomainError(
-            f"order {order} needs at least 128 bits, got {precision_bits}")
 
     if isinstance(model, GaussianAutocorr):
         s2 = Fraction(model.sigma0) ** 2
@@ -381,7 +367,7 @@ def moments_of_model(model: AmplitudeModel, order: int,
         values[2] = Fraction(model.sigma0) ** 2
         return MomentSequence(tuple(values), precision_bits=None)
     if isinstance(model, InterpolationAutocorr):
-        return _interpolation_moments(model, order, precision_bits)
+        return _interpolation_moments(model, order)
     raise VariantError(
         f"{type(model).__name__} does not define moments of a single "
         "density; only amplitude models do")
@@ -406,6 +392,4 @@ def model_from_dict(data: dict) -> AutocorrModel:
     missing = fields - set(kwargs)
     if missing:
         raise DomainError(f"variant {name!r} missing keys: {sorted(missing)}")
-    if "dim" in kwargs:
-        kwargs["dim"] = int(kwargs["dim"])
     return cls(**kwargs)

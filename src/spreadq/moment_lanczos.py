@@ -34,10 +34,9 @@ what guarantees real coefficients.  A sequence that fails the check is
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -45,7 +44,6 @@ import numpy as np
 from .errors import (
     DomainError,
     InsufficientMomentsError,
-    NumericalError,
     PositivityError,
     PrecisionError,
 )
@@ -76,8 +74,6 @@ class MomentSequence:
 
     values: tuple
     precision_bits: int | None = None
-    _violation: int | None = field(default=None, repr=False, compare=False)
-    _checked: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = tuple(self.values)
@@ -91,40 +87,8 @@ class MomentSequence:
         if not ok:
             raise DomainError(f"mu_0 must be 1 (normalized state), got {mu0}")
 
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, n):
-        return self.values[n]
-
     def as_array(self) -> np.ndarray:
         return np.array([float(v) for v in self.values], dtype=float)
-
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Rational) for v in self.values)
-
-    def first_violation(self) -> int | None:
-        """Depth of the first Hankel positivity violation, or None.
-
-        Runs the recursion as deep as the available order allows and caches
-        the result.  Exhaustion (b_n^2 == 0) is not a violation.
-        """
-        if not self._checked:
-            depth = len(self.values) // 2
-            self._violation = None
-            if depth >= 1:
-                result = _convert(self, depth, formal=True)
-                self._violation = result.violation_depth
-            self._checked = True
-        return self._violation
-
-    @property
-    def physical(self) -> bool:
-        return self.first_violation() is None
 
 
 @dataclass
@@ -163,10 +127,6 @@ class LanczosCoefficients:
         """Krylov dimension represented by these coefficients."""
         return len(self.a)
 
-    def signed_b_squared(self) -> np.ndarray:
-        """Return b_n^2 with the formal sign convention applied."""
-        return np.sign(self.b) * self.b**2
-
     def to_csv(self, path) -> None:
         """Write rows ``n,a_n,b_n`` (b_0 written as 0 by convention)."""
         with open(path, "w", newline="") as fh:
@@ -177,7 +137,7 @@ class LanczosCoefficients:
                 writer.writerow([n, f"{self.a[n]:.17g}", f"{bn:.17g}"])
 
     @classmethod
-    def from_csv(cls, path, physical: bool = True) -> "LanczosCoefficients":
+    def from_csv(cls, path) -> "LanczosCoefficients":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -189,11 +149,7 @@ class LanczosCoefficients:
                 a.append(float(row[1]))
                 if n > 0:
                     b.append(float(row[2]))
-        return cls(np.array(a), np.array(b), physical=physical)
-
-
-def _is_rational_sequence(values: Sequence) -> bool:
-    return all(isinstance(v, Rational) for v in values)
+        return cls(np.array(a), np.array(b))
 
 
 def _recursion(mu, K: int, formal: bool, exact: bool):
@@ -269,7 +225,8 @@ def _convert(moments: MomentSequence, K, formal,
     """Exact recursion for rationals with ``precision_bits=None``, else
     ``mpmath`` from ``max(128, 12 K, both precision floors)`` bits up."""
     mu = moments.values
-    if moments.precision_bits is None and _is_rational_sequence(mu):
+    if moments.precision_bits is None and all(isinstance(v, Rational)
+                                              for v in mu):
         a, b2, violation = _recursion([Fraction(v) for v in mu], K, formal,
                                       exact=True)
         return _finalize(a, b2, violation)
@@ -350,15 +307,13 @@ def moments_to_lanczos(moments, K: int, precision_bits: int | None = None,
     """
     if not isinstance(K, (int, np.integer)) or K < 1:
         raise DomainError(f"K must be a positive integer, got {K}")
-    values = moments.values if isinstance(moments, MomentSequence) \
-        else tuple(moments)
-    order = len(values) - 1
+    if not isinstance(moments, MomentSequence):
+        moments = MomentSequence(moments)
+    order = len(moments.values) - 1
     if order < 2 * K:
         raise InsufficientMomentsError(
             f"depth K={K} needs moments through order {2 * K}, "
             f"got order {order}")
-    if not isinstance(moments, MomentSequence):
-        moments = MomentSequence(values)
     return _convert(moments, K, formal, precision_bits)
 
 

@@ -17,7 +17,12 @@ import pytest
 
 import spreadq
 import spreadq.cli
-from spreadq import AssemblyError, LapackError, _lapack
+from spreadq import (
+    AssemblyError,
+    LanczosCoefficients,
+    LapackError,
+    _lapack,
+)
 
 # Directory holding the spreadq package this process imported (``src/`` or
 # site-packages). It goes first on the child's PYTHONPATH, so the child runs
@@ -430,6 +435,10 @@ def test_ensemble_config_errors_exit_2_without_run_directory(tmp_path,
     pytest.param(("fit", "--coeffs", "coeffs.csv", "--kind", "power"),
                  "window", [1], id="window-one-number"),
     pytest.param(("b2-table",), "times", 5, id="times-number"),
+    # integers beyond the float range
+    pytest.param(("model", "--variant", "gaussian"), "sigma0", 10**400,
+                 id="sigma0-overflow"),
+    pytest.param(("spin", "--L", "4"), "h", 10**400, id="h-overflow"),
 ])
 def test_config_file_values_must_have_their_flag_type(tmp_path, capsys,
                                                       command, key, value):
@@ -441,6 +450,75 @@ def test_config_file_values_must_have_their_flag_type(tmp_path, capsys,
     assert code == 2
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("loaded, flags, config", [
+    # a given flag wins over the file, also where it repeats its default
+    pytest.param({"tpoints": 40, "log_grid": False},
+                 ["--tpoints", "600", "--log-grid"],
+                 {"tpoints": 600, "log_grid": True}, id="flags-win"),
+    pytest.param({"tpoints": 40, "log_grid": False}, [],
+                 {"tpoints": 40, "log_grid": False}, id="file-wins"),
+    pytest.param({"out": None}, [], {"out": "model-out"}, id="out-null"),
+    pytest.param({"tmax": None}, [], {"tmax": None}, id="tmax-null"),
+    pytest.param({"help": 1}, [], None, id="help-key"),
+    pytest.param({"config": "x"}, [], None, id="config-key"),
+])
+def test_config_file_precedence_and_keys(tmp_path, monkeypatch, capsys,
+                                         loaded, flags, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(loaded))
+    code = spreadq.cli.main([*GAUSSIAN, "--config", "cfg.json", *flags])
+    out = tmp_path / "model-out"
+    if config is None:
+        assert code == 2
+        assert f"unknown config key {next(iter(loaded))!r}" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"].items() >= config.items()
+    series = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
+    assert len(series) == manifest["config"]["tpoints"]
+
+
+COMMON_KEYS = {"out", "seed", "tmax", "tpoints", "log_grid"}
+
+
+@pytest.mark.parametrize("command, keys", [
+    pytest.param(GAUSSIAN, COMMON_KEYS | {
+        "variant", "sigma0", "alpha", "gamma", "depth", "formal",
+        "precision_bits"}, id="model"),
+    pytest.param(FRM, COMMON_KEYS | {"dim", "realizations", "depth"},
+                 id="frm"),
+    pytest.param(SPIN, COMMON_KEYS | {
+        "L", "h", "g", "realizations", "depth", "compare_smaller"},
+        id="spin"),
+    pytest.param(("fit", "--coeffs", "coeffs.csv", "--kind", "power"), {
+        "out", "coeffs", "series", "kind", "window", "origin", "envelope",
+        "dim"}, id="fit"),
+    pytest.param(("b2-table",), {"out", "times"}, id="b2-table"),
+])
+def test_manifest_config_keys(tmp_path, monkeypatch, command, keys):
+    # one key per flag of the command, apart from --help and --config
+    monkeypatch.chdir(tmp_path)
+    LanczosCoefficients(np.zeros(20), np.sqrt(np.arange(1.0, 20.0))).to_csv(
+        "coeffs.csv")
+    assert spreadq.cli.main([*command, "--out", "run"]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert set(manifest["config"]) == keys
+
+
+def test_precision_bits_below_the_floor_changes_nothing(tmp_path):
+    # the mpmath recursion starts at max(128, 12 K) bits anyway
+    interpolation = [*INTERPOLATION[:-1], "11", "--tpoints", "40"]
+    for label, flags in (("plain", []), ("floor", ["--precision-bits", "64"])):
+        assert spreadq.cli.main([*interpolation, *flags,
+                                 "--out", str(tmp_path / label)]) == 0
+    for name in ("coeffs.csv", "series.csv", "averages.json", "fits.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "floor" / name).read_bytes()
 
 
 def test_config_file_takes_times_as_a_list(tmp_path):
@@ -501,6 +579,9 @@ def test_runs_pass_reference_checks(tmp_path, command):
     pytest.param(GAUSSIAN, "--precision-bits", "-5",
                  id="--precision-bits--5"),
     pytest.param(GAUSSIAN, "--precision-bits", "0", id="--precision-bits-0"),
+    # the closed-form variants take the exact Fraction recursion
+    pytest.param(GAUSSIAN, "--precision-bits", "200",
+                 id="gaussian---precision-bits-200"),
     pytest.param(INTERPOLATION, "--precision-bits", "100000",
                  id="--precision-bits-100000"),
     pytest.param(FRM, "--threads", "2", id="frm---threads-2"),
