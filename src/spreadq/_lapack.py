@@ -1,11 +1,12 @@
-"""The three LAPACK routines spreadq calls, from scipy's LAPACK library.
+"""The three LAPACK routines spreadq calls, from the LAPACK numpy links.
 
-The library is the shared object behind ``scipy.linalg._flapack``.  It is
-loaded here with ``ctypes`` from its file under the scipy package, without
-running the extension's module init, so the command line never imports
-``scipy.linalg`` (about 0.3 s of start-up).  Where that file is not found,
-importing ``scipy.linalg._flapack`` names the same library; only the
-start-up saving is lost.
+``ctypes.CDLL`` on the file of ``numpy.linalg._umath_linalg`` returns a
+handle whose symbol lookup searches that extension's dependencies, so the
+routines come from the OpenBLAS build that also runs numpy's GEMMs.  One
+library means one BLAS thread pool.  Each OpenBLAS keeps its own worker
+threads, which busy-wait for a while after a call: with a second library
+(scipy's), every evolution GEMM after a LAPACK call ran at half speed on
+two cores.
 
 Each routine is called with the arguments scipy's own wrappers pass, so
 the results are bit-identical to theirs:
@@ -16,53 +17,50 @@ the results are bit-identical to theirs:
 - ``dstebz``: one eigenvalue by index (``RANGE='I'``, ``ORDER='E'``,
   ``ABSTOL=0``), as in ``eigvalsh_tridiagonal(select="i")``;
 - ``dsytrd_2stage``: two-stage reduction to tridiagonal form, which scipy
-  links but does not wrap (in reference LAPACK since 3.7.0).
+  does not wrap (in reference LAPACK since 3.7.0).
 
-Symbols resolve as ``scipy_<name>_`` (scipy's bundled OpenBLAS), then
-``<name>_``; importing this module fails where any of the three is missing.
-Arguments are LP64 ``int``, as in scipy's wrappers, followed by one
-trailing ``size_t`` length per character argument.
+The first pattern of ``_SYMBOLS`` that names all three routines fixes the
+Fortran INTEGER.  numpy's wheels export ILP64 ``scipy_<name>_64_``, so
+every integer argument, the IWORK/IBLOCK/ISPLIT arrays included, is 64-bit
+there.  Each character argument takes a trailing ``size_t`` length.
+Importing this module fails where no pattern names all three.
 """
 import ctypes
-import importlib.machinery
-import os
 
 import numpy as np
-import scipy
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, LapackError
 
+_NAMES = ("dstevd", "dstebz", "dsytrd_2stage")
+# symbol pattern and Fortran INTEGER of each OpenBLAS or LAPACK build
+_SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
+            ("scipy_{}_", ctypes.c_int), ("{}_", ctypes.c_int))
 
-def _library_path() -> str:
-    linalg = os.path.join(scipy.__path__[0], "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(linalg, "_flapack" + suffix)
-        if os.path.isfile(path):
-            return path
-    from scipy.linalg import _flapack
-    return _flapack.__file__
+_LIBRARY = ctypes.CDLL(_umath_linalg.__file__)
+for _SYMBOL, _INTEGER in _SYMBOLS:
+    if all(hasattr(_LIBRARY, _SYMBOL.format(name)) for name in _NAMES):
+        break
+else:
+    raise ImportError("the LAPACK numpy links lacks dstevd, dstebz or "
+                      "dsytrd_2stage")
 
-
-_LIBRARY = ctypes.CDLL(_library_path())
-
-_INT = ctypes.POINTER(ctypes.c_int)
+_INT = ctypes.POINTER(_INTEGER)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
 _VECTOR = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-_INDICES = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS")
+_INDEX = np.dtype(_INTEGER)
+_INDICES = np.ctypeslib.ndpointer(_INDEX, ndim=1, flags="C_CONTIGUOUS")
 _SQUARE = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
 _CHAR = ctypes.c_char_p
 _LENGTH = ctypes.c_size_t
 
 
 def _routine(name: str, argtypes):
-    """The library's routine ``name`` with its argument types, or None."""
-    for symbol in (f"scipy_{name}_", f"{name}_"):
-        routine = getattr(_LIBRARY, symbol, None)
-        if routine is not None:
-            routine.argtypes = argtypes
-            routine.restype = None
-            return routine
-    return None
+    """The library's routine ``name`` with its argument types."""
+    routine = getattr(_LIBRARY, _SYMBOL.format(name))
+    routine.argtypes = argtypes
+    routine.restype = None
+    return routine
 
 
 # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO
@@ -79,9 +77,6 @@ _SYTRD_2STAGE = _routine("dsytrd_2stage",
                          [_CHAR, _CHAR, _INT, _SQUARE, _INT, _VECTOR,
                           _VECTOR, _VECTOR, _VECTOR, _INT, _VECTOR, _INT,
                           _INT, _LENGTH, _LENGTH])
-if _STEVD is None or _STEBZ is None or _SYTRD_2STAGE is None:
-    raise ImportError("scipy's LAPACK library exports no dstevd, dstebz or "
-                      "dsytrd_2stage")
 
 
 def _tridiagonal(d, e):
@@ -96,7 +91,7 @@ def _tridiagonal(d, e):
     return d, e
 
 
-def _check(name: str, info: ctypes.c_int) -> None:
+def _check(name: str, info) -> None:
     if info.value != 0:
         raise LapackError(f"{name} failed with info={info.value}")
 
@@ -110,11 +105,11 @@ def dstevd(d, e):
         return values, np.ones((1, 1))
     vectors = np.empty((n, n), order="F")
     lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
-    info = ctypes.c_int(0)
+    info = _INTEGER(0)
     # D returns the eigenvalues; E is destroyed (it is a private copy)
-    _STEVD(b"V", ctypes.c_int(n), values, e, vectors, ctypes.c_int(n),
-           np.empty(lwork), ctypes.c_int(lwork),
-           np.empty(liwork, dtype=np.intc), ctypes.c_int(liwork), info, 1)
+    _STEVD(b"V", _INTEGER(n), values, e, vectors, _INTEGER(n),
+           np.empty(lwork), _INTEGER(lwork),
+           np.empty(liwork, dtype=_INDEX), _INTEGER(liwork), info, 1)
     _check("dstevd", info)
     return values, vectors
 
@@ -128,13 +123,13 @@ def dstebz(d, e, i: int) -> float:
         raise DomainError(f"eigenvalue index {i} out of range for order {n}")
     if n == 1:
         return float(d[0])
-    m, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
+    m, nsplit, info = _INTEGER(0), _INTEGER(0), _INTEGER(0)
     values = np.empty(n)
-    _STEBZ(b"I", b"E", ctypes.c_int(n), ctypes.c_double(0.0),
-           ctypes.c_double(1.0), ctypes.c_int(i + 1), ctypes.c_int(i + 1),
+    _STEBZ(b"I", b"E", _INTEGER(n), ctypes.c_double(0.0),
+           ctypes.c_double(1.0), _INTEGER(i + 1), _INTEGER(i + 1),
            ctypes.c_double(0.0), d, e, m, nsplit, values,
-           np.empty(n, dtype=np.intc), np.empty(n, dtype=np.intc),
-           np.empty(4 * n), np.empty(3 * n, dtype=np.intc), info, 1, 1)
+           np.empty(n, dtype=_INDEX), np.empty(n, dtype=_INDEX),
+           np.empty(4 * n), np.empty(3 * n, dtype=_INDEX), info, 1, 1)
     _check("dstebz", info)
     return float(values[0])
 
@@ -147,7 +142,7 @@ def dsytrd_2stage(a):
     if a.shape != (n, n) or n < 2:
         raise DomainError(f"dsytrd_2stage needs a square array of "
                           f"order >= 2, got shape {a.shape}")
-    n_c, info, query = ctypes.c_int(n), ctypes.c_int(0), ctypes.c_int(-1)
+    n_c, info, query = _INTEGER(n), _INTEGER(0), _INTEGER(-1)
     d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
     hous2, work = np.empty(1), np.empty(1)
     _SYTRD_2STAGE(b"N", b"L", n_c, a, n_c, d, e, tau, hous2, query, work,
@@ -156,6 +151,6 @@ def dsytrd_2stage(a):
     lhous2, lwork = int(hous2[0]), int(work[0])
     hous2, work = np.empty(lhous2), np.empty(lwork)
     _SYTRD_2STAGE(b"N", b"L", n_c, a, n_c, d, e, tau, hous2,
-                  ctypes.c_int(lhous2), work, ctypes.c_int(lwork), info, 1, 1)
+                  _INTEGER(lhous2), work, _INTEGER(lwork), info, 1, 1)
     _check("dsytrd_2stage", info)
     return d, e

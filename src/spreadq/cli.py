@@ -261,6 +261,20 @@ def _check_seed(value: int) -> int:
     return value
 
 
+def _check_window(kind: str, window):
+    """``--window`` as a fit of ``kind`` takes it: finite with LO < HI, and
+    LO > 0 for decay or whole coefficient indices otherwise."""
+    lo, hi = window
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise DomainError(f"--window needs finite LO < HI, got {lo} {hi}")
+    if kind == "decay" and lo <= 0:
+        raise DomainError(f"--window of a decay fit needs LO > 0, got {lo}")
+    if kind != "decay" and not (lo.is_integer() and hi.is_integer()):
+        raise DomainError(f"--window of a {kind} fit takes whole "
+                          f"coefficient indices, got {lo} {hi}")
+    return (lo, hi) if kind == "decay" else (int(lo), int(hi))
+
+
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -524,6 +538,8 @@ def _cmd_fit(config: dict) -> None:
     if (config["coeffs"] is None) == (config["series"] is None):
         raise DomainError("give exactly one of --coeffs or --series")
     window = config["window"]
+    if window is not None:
+        window = _check_window(kind, window)
 
     if kind == "decay":
         if config["series"] is None:
@@ -542,8 +558,6 @@ def _cmd_fit(config: dict) -> None:
         except OSError:
             raise DomainError(f"coefficient file not found: "
                               f"{config['coeffs']}")
-        if window is not None:
-            window = (int(window[0]), int(window[1]))
         if kind == "power":
             result = fit_bn_power(lc, window=window)
         elif kind == "linear":

@@ -18,9 +18,9 @@ Two independent routes to the same coefficients:
 Both take real input only (``hamiltonians.matrix_and_state``).  Both
 truncate at the first sub-diagonal entry below 1e-12 * ||H||: past a
 decoupling the tridiagonal block no longer describes the Krylov space of
-psi0.  The Lanczos path estimates ||H|| by power iteration; the Householder
-path takes it exactly from the end eigenvalues of its full tridiagonal
-(LAPACK ``dstebz``), which is orthogonally similar to H.
+psi0.  The Lanczos path estimates ||H|| by power iteration once a residual
+nears the cut; the Householder path takes it exactly from the end eigenvalues
+of its full tridiagonal (LAPACK ``dstebz``), orthogonally similar to H.
 """
 import numpy as np
 
@@ -61,7 +61,10 @@ def lanczos_tridiagonalize(ham, psi0, K: int, return_basis: bool = False):
     if K > n:
         raise DomainError(f"K={K} exceeds the dimension {n}")
 
-    tol = TERMINATION_RTOL * spectral_norm_estimate(matrix)
+    # estimate <= ||H||_2 <= ||H||_F, so a residual above this gate (2 is a
+    # rounding margin) is never cut: estimate only once one falls below it
+    gate = 2.0 * TERMINATION_RTOL * np.linalg.norm(matrix)
+    tol = None
     basis = np.zeros((K, n))
     basis[0] = start
     a = []
@@ -76,8 +79,11 @@ def lanczos_tridiagonalize(ham, psi0, K: int, return_basis: bool = False):
             coeffs = basis[:k + 1] @ w
             w = w - coeffs @ basis[:k + 1]
         rnorm = np.linalg.norm(w)
-        if rnorm <= tol:
-            break
+        if rnorm <= gate:
+            if tol is None:
+                tol = TERMINATION_RTOL * spectral_norm_estimate(matrix)
+            if rnorm <= tol:
+                break
         b.append(float(rnorm))
         basis[k + 1] = w / rnorm
     k_actual = len(a)

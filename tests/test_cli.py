@@ -227,6 +227,34 @@ def test_fit_requires_exactly_one_input(tmp_path):
     assert proc.returncode == 2, proc.stderr
 
 
+@pytest.mark.parametrize("kind, window, extra", [
+    ("decay", ["1", "inf"], ["--envelope"]),
+    ("decay", ["1", "nan"], []),
+    ("decay", ["5", "2"], []),
+    ("decay", ["0", "3"], []),
+    ("power", ["1", "nan"], []),
+    ("power", ["6", "6"], []),
+    ("power", ["2.5", "8"], []),
+    ("linear", ["1", "inf"], ["--origin"]),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else v)
+def test_fit_window_is_input_and_exits_2(tmp_path, kind, window, extra):
+    # a window no fit of its kind can take is a config error, found before
+    # any file is read or fitted, not a numerical failure or a traceback
+    t = np.geomspace(0.5, 50.0, 200)
+    series = "t,C,F\n" + "".join(f"{ti},0.0,{ti ** -2.0}\n" for ti in t)
+    (tmp_path / "series.csv").write_text(series)
+    coeffs = "n,a_n,b_n\n0,0.0,0.0\n" + "".join(
+        f"{n},0.0,{math.sqrt(n)}\n" for n in range(1, 16))
+    (tmp_path / "coeffs.csv").write_text(coeffs)
+    source = ["--series", "series.csv"] if kind == "decay" \
+        else ["--coeffs", "coeffs.csv"]
+    proc = run_cli("fit", *source, "--kind", kind, "--window", *window,
+                   *extra, "--out", "never", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "--window" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "never").exists()
+
+
 def test_b2_table_default_values(tmp_path):
     proc = run_cli("b2-table", "--out", "tab", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -633,12 +661,27 @@ def test_model_moment_route(tmp_path, recursion_calls, variant, exact):
 
 
 # scipy's Python linear-algebra and special-function layers cost about
-# 0.4 s of start-up; the command line reaches LAPACK through ctypes instead
+# 0.4 s of start-up; the command line reaches LAPACK through ctypes instead.
+# That LAPACK is the OpenBLAS numpy links, so one BLAS thread pool serves
+# every call: no other OpenBLAS build may be mapped into the process.
 STARTUP_CHECK = """
+import os
 import sys
+import numpy.linalg._umath_linalg
 import spreadq.cli
+from spreadq import _lapack
 for argv in {runs!r}:
     assert spreadq.cli.main(argv) == 0, argv
+assert _lapack._LIBRARY._name == numpy.linalg._umath_linalg.__file__
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        mapped = {{line.split(None, 5)[5].strip() for line in fh
+                  if len(line.split(None, 5)) == 6}}
+    foreign = sorted(path for path in mapped
+                     if "openblas" in os.path.basename(path)
+                     and os.path.basename(os.path.dirname(path))
+                     != "numpy.libs")
+    assert not foreign, foreign
 print(sorted(m for m in ("scipy.linalg", "scipy.special")
              if m in sys.modules))
 """

@@ -1,5 +1,8 @@
 """The ctypes LAPACK bindings against scipy's own wrappers, bit for bit.
 
+This is a cross-library check: ``_lapack`` binds the routines from the
+OpenBLAS numpy links (ILP64 symbols, 64-bit integer arguments), while
+``scipy.linalg`` calls its own OpenBLAS build through LP64 wrappers.
 ``dstevd`` and ``dstebz`` are called with the arguments scipy passes, so
 their results must equal ``eigh_tridiagonal`` and
 ``eigvalsh_tridiagonal(select="i")`` exactly, not just to a tolerance.

@@ -12,6 +12,7 @@ from spreadq import (
     DomainError,
     NormalizationError,
     _lapack,
+    matrix_lanczos,
     moments_to_lanczos,
 )
 from spreadq.hamiltonians import (
@@ -36,6 +37,20 @@ def random_symmetric(n, seed):
     return (raw + raw.T) / 2, vec / np.linalg.norm(vec)
 
 
+@pytest.fixture
+def norm_estimates(monkeypatch):
+    """Count the power-iteration norm estimates the Lanczos path runs."""
+    calls = []
+    estimate = matrix_lanczos.spectral_norm_estimate
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return estimate(matrix)
+
+    monkeypatch.setattr(matrix_lanczos, "spectral_norm_estimate", counted)
+    return calls
+
+
 def test_pauli_x_structure():
     ham = np.array([[0.0, 1.0], [1.0, 0.0]])
     psi0 = np.array([1.0, 0.0])
@@ -53,9 +68,11 @@ def test_three_level_closed_form():
                                rtol=1e-14)
 
 
-def test_identity_exhausts_immediately():
+def test_identity_exhausts_immediately(norm_estimates):
     lc = lanczos_tridiagonalize(np.eye(5), np.full(5, 5 ** -0.5), 5)
     assert lc.K == 1
+    # the zero residual is the first near the cut: one norm estimate
+    assert norm_estimates == [(5, 5)]
     assert lc.a[0] == pytest.approx(1.0, rel=1e-15)
 
 
@@ -138,7 +155,7 @@ def test_sigma0_equals_first_lanczos_coefficient():
     assert summary.e0 == pytest.approx(lc.a[0], abs=1e-12)
 
 
-def test_block_decoupling_truncates_both_paths():
+def test_block_decoupling_truncates_both_paths(norm_estimates):
     # psi0 lives in the first 3x3 block; the 2x2 tail must not leak in
     ham = np.zeros((5, 5))
     ham[:3, :3] = np.diag([-1.0, 0.0, 1.0])
@@ -147,9 +164,17 @@ def test_block_decoupling_truncates_both_paths():
     psi0[:3] = 1.0 / np.sqrt(3.0)
     lc = lanczos_tridiagonalize(ham, psi0, 5)
     assert lc.K == 3
+    assert norm_estimates == [(5, 5)]
     lc_h = householder_hessenberg(ham, psi0)
     assert lc_h.K == 3
     np.testing.assert_allclose(lc_h.b, lc.b, atol=1e-12)
+
+
+def test_lanczos_without_small_residual_skips_norm_estimate(norm_estimates):
+    ham, psi0 = random_symmetric(64, seed=5)
+    lc = lanczos_tridiagonalize(ham, psi0, 20)
+    assert lc.K == 20
+    assert norm_estimates == []
 
 
 def test_spin_chain_paths_agree_at_full_depth():
