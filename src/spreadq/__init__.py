@@ -61,6 +61,7 @@ from .evolution import (
     evolve_amplitudes,
     long_time_average,
     spread_complexity,
+    spread_series,
     time_grid,
 )
 from .analysis import (

@@ -50,9 +50,8 @@ from .errors import DomainError, NumericalError, WindowError
 from .evolution import (
     SpreadComplexitySeries,
     eigendecompose,
-    evolve_amplitudes,
     long_time_average,
-    spread_complexity,
+    spread_series,
     time_grid,
 )
 from .hamiltonians import (
@@ -349,15 +348,18 @@ def _cmd_model(config: dict) -> None:
     lc = moments_to_lanczos(moments, depth, precision_bits=bits,
                             formal=config["formal"])
 
-    out = _out_dir(config)
-    lc.to_csv(out / "coeffs.csv")
-    fits: dict = {"depth": lc.K, "physical": lc.physical}
     if lc.physical:
+        # the grid is checked, and the series evolved, before any file
         sigma_ref = float(lc.b[0]) if lc.K > 1 else max(abs(lc.a[0]), 1.0)
         spectrum = eigendecompose(lc)
         times = time_grid(spectrum.values, sigma_ref, config["tpoints"],
                           config["tmax"], config["log_grid"])
-        series = spread_complexity(evolve_amplitudes(spectrum, times))
+        series = spread_series(spectrum, times)
+
+    out = _out_dir(config)
+    lc.to_csv(out / "coeffs.csv")
+    fits: dict = {"depth": lc.K, "physical": lc.physical}
+    if lc.physical:
         series.to_csv(out / "series.csv")
         avg = long_time_average(spectrum)
         _write_json(out / "averages.json",
@@ -423,7 +425,7 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
         if stream:
             coefficient_sets.append(coefficients(stream))
             spectrum = eigendecompose(coefficient_sets[stream])
-        series = spread_complexity(evolve_amplitudes(spectrum, times))
+        series = spread_series(spectrum, times)
         averages.append(long_time_average(spectrum))
         spectrum = None
         return series

@@ -453,6 +453,41 @@ def test_ensemble_config_errors_exit_2_without_run_directory(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [
+    pytest.param(("--tpoints", "1"), id="tpoints-1"),
+    pytest.param(("--tmax", "-3"), id="tmax-negative"),
+    pytest.param(("--tmax", "inf"), id="tmax-inf"),
+    pytest.param(("--tmax", "0.001"), id="tmax-below-log-grid"),
+])
+def test_model_grid_errors_exit_2_without_run_directory(tmp_path, grid):
+    # the grid is checked before the coefficients are written
+    out = tmp_path / "never"
+    assert spreadq.cli.main([*GAUSSIAN, *grid, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_members_evolve_in_slabs_of_grid_rows(tmp_path, monkeypatch):
+    from spreadq import evolution
+
+    kernel = evolution.evolve_amplitudes
+    rows = []
+
+    def counted(source, times):
+        rows.append(len(times))
+        return kernel(source, times)
+
+    monkeypatch.setattr(evolution, "evolve_amplitudes", counted)
+    tpoints = 2 * evolution.TIME_SLAB_ROWS + 7
+    out = tmp_path / "run"
+    assert spreadq.cli.main(["frm", "--dim", "30", "--realizations", "2",
+                             "--tpoints", str(tpoints),
+                             "--out", str(out)]) == 0
+    assert len(rows) == 2 * 3
+    assert max(rows) <= evolution.TIME_SLAB_ROWS
+    assert sum(rows) == 2 * tpoints
+    assert len((out / "ensemble.csv").read_text().splitlines()) == tpoints + 1
+
+
 @pytest.mark.parametrize("command, key, value", [
     pytest.param(("model", "--variant", "truncated_quadratic", "--sigma0",
                   "1", "--K", "6"), "formal", "false", id="formal-string"),

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from spreadq import DomainError, LanczosCoefficients, NumericalError
 from spreadq.evolution import (
     AVERAGE_COLUMN_SLAB,
+    TIME_SLAB_ROWS,
     KrylovAmplitudes,
     LongTimeAverages,
     Spectrum,
@@ -22,6 +23,7 @@ from spreadq.evolution import (
     evolve_amplitudes,
     long_time_average,
     spread_complexity,
+    spread_series,
     time_grid,
 )
 from spreadq.matrix_lanczos import lanczos_tridiagonalize
@@ -270,6 +272,48 @@ def test_spectrum_and_coefficients_give_identical_results():
     assert np.array_equal(evolve_amplitudes(spectrum, times).phi,
                           evolve_amplitudes(lc, times).phi)
     assert long_time_average(spectrum) == long_time_average(lc)
+
+
+# three whole slabs and a ragged fourth; three and one row; five and none
+@pytest.mark.parametrize("points", [
+    3 * TIME_SLAB_ROWS + TIME_SLAB_ROWS // 3,
+    3 * TIME_SLAB_ROWS + 1,
+    5 * TIME_SLAB_ROWS,
+])
+@pytest.mark.parametrize("log", [True, False])
+def test_spread_series_matches_the_whole_grid_evolution(points, log):
+    gen = philox(7)
+    K = 60
+    lc = LanczosCoefficients(a=gen.uniform(-1.0, 1.0, K),
+                             b=gen.uniform(0.5, 1.5, K - 1), physical=True)
+    spectrum = eigendecompose(lc)
+    times = time_grid(spectrum.values, float(lc.b[0]), points, log=log)
+    whole = spread_complexity(evolve_amplitudes(spectrum, times))
+    series = spread_series(spectrum, times)
+    assert np.array_equal(series.times, times)
+    np.testing.assert_allclose(series.C, whole.C, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(series.F, whole.F, rtol=1e-12, atol=0)
+    # the coefficients diagonalize to the same spectrum
+    assert np.array_equal(spread_series(lc, times).C, series.C)
+    if not log:
+        assert series.C[0] == 0.0 and series.F[0] == 1.0
+
+
+def test_spread_series_checks_the_whole_grid():
+    lc = gaussian_lc(1.0, 8)
+    with pytest.raises(DomainError, match="empty"):
+        spread_series(lc, np.array([]))
+    grid = np.linspace(0.0, 10.0, 3 * TIME_SLAB_ROWS)
+    grid[2 * TIME_SLAB_ROWS + 5] = np.nan
+    with pytest.raises(DomainError, match="finite"):
+        spread_series(lc, grid)
+    # the one descending step joins two slabs, each ascending on its own
+    grid = np.linspace(0.0, 10.0, 3 * TIME_SLAB_ROWS)
+    grid[TIME_SLAB_ROWS:] -= 1.0
+    assert np.all(np.diff(grid[:TIME_SLAB_ROWS]) > 0)
+    assert np.all(np.diff(grid[TIME_SLAB_ROWS:]) > 0)
+    with pytest.raises(DomainError, match="ascending"):
+        spread_series(lc, grid)
 
 
 def direct_long_time_average(values, vecs, starts):
