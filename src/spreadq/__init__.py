@@ -21,12 +21,10 @@ from .models import (
     InterpolationAutocorr,
     LdosSummary,
     SemicircleAutocorr,
-    SpinSurvival,
     TruncatedQuadraticAutocorr,
     eval_autocorr,
     eval_b2,
     eval_frm_sp,
-    eval_spin_sp,
     model_from_dict,
     moments_of_model,
 )

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EnsembleMemberError,
-    FitError,
-    NotPowerLawError,
-    WindowError,
-)
+from .errors import FitError, NotPowerLawError, WindowError
 from .evolution import SpreadComplexitySeries
 from .moment_lanczos import LanczosCoefficients
 
@@ -86,8 +81,6 @@ class EnsembleSeries:
     """Pointwise ensemble average of spread-complexity series."""
 
     times: np.ndarray
-    members_C: np.ndarray
-    members_F: np.ndarray
     mean_C: np.ndarray
     mean_F: np.ndarray
     stderr_C: np.ndarray
@@ -289,41 +282,21 @@ def detect_peak_plateau(series: SpreadComplexitySeries) -> dict:
             "ratio": c_peak / c_plateau}
 
 
-def ensemble_average(run, seeds) -> EnsembleSeries:
-    """Run ``run(seed)`` for each seed in turn and average the series.
+def ensemble_average(members) -> EnsembleSeries:
+    """Pointwise mean and standard error of series on one time grid.
 
-    Members run in the order of ``seeds``; reduction happens in
-    ascending-seed order, so the result does not depend on that order.  A
-    failing member aborts the ensemble with its seed identified.
+    ``members`` are reduced in the order given, so the same series in the
+    same order give the same bytes.
     """
-    seeds = [int(s) for s in seeds]
-    if len(seeds) == 0:
+    if len(members) == 0:
         raise FitError("need at least one realization")
-    if len(set(seeds)) != len(seeds):
-        raise FitError("duplicate seeds in ensemble")
-
-    results = {}
-    for seed in seeds:
-        try:
-            results[seed] = run(seed)
-        except Exception as exc:
-            raise EnsembleMemberError(
-                f"realization with seed {seed} failed: {exc}",
-                seed=seed) from exc
-
-    ordered = sorted(seeds)
-    first = results[ordered[0]]
-    times = np.asarray(first.times, dtype=float)
-    members_c = np.empty((len(ordered), times.size))
-    members_f = np.empty((len(ordered), times.size))
-    for i, seed in enumerate(ordered):
-        series = results[seed]
-        if not np.array_equal(np.asarray(series.times), times):
-            raise EnsembleMemberError(
-                f"seed {seed} returned a mismatching time grid", seed=seed)
-        members_c[i] = series.C
-        members_f[i] = series.F
-    count = len(ordered)
+    times = np.asarray(members[0].times, dtype=float)
+    if any(not np.array_equal(np.asarray(series.times), times)
+           for series in members):
+        raise FitError("ensemble members have mismatching time grids")
+    members_c = np.stack([series.C for series in members])
+    members_f = np.stack([series.F for series in members])
+    count = len(members)
     mean_c = np.add.reduce(members_c, axis=0) / count
     mean_f = np.add.reduce(members_f, axis=0) / count
     if count > 1:
@@ -332,6 +305,5 @@ def ensemble_average(run, seeds) -> EnsembleSeries:
     else:
         stderr_c = np.zeros(times.size)
         stderr_f = np.zeros(times.size)
-    return EnsembleSeries(times=times, members_C=members_c,
-                          members_F=members_f, mean_C=mean_c, mean_F=mean_f,
+    return EnsembleSeries(times=times, mean_C=mean_c, mean_F=mean_f,
                           stderr_C=stderr_c, stderr_F=stderr_f)

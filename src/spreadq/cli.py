@@ -30,6 +30,7 @@ import json
 import platform
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -46,7 +47,12 @@ from .analysis import (
     fit_decay_exponent,
     fit_goe_profile,
 )
-from .errors import DomainError, NumericalError, WindowError
+from .errors import (
+    DomainError,
+    EnsembleMemberError,
+    NumericalError,
+    WindowError,
+)
 from .evolution import (
     SpreadComplexitySeries,
     eigendecompose,
@@ -327,6 +333,19 @@ def _out_dir(config: dict) -> Path:
     return out
 
 
+def _evolve(lc: LanczosCoefficients, config: dict, times=None):
+    """The ``(series, averages)`` of one coefficient set, from one
+    eigensolve of T.  Without ``times`` the grid is set by this spectrum and
+    the first coefficient (b_1, or max(|a_0|, 1) when K = 1).  The spectrum
+    dies on return."""
+    spectrum = eigendecompose(lc)
+    if times is None:
+        sigma = float(lc.b[0]) if lc.K > 1 else max(abs(lc.a[0]), 1.0)
+        times = time_grid(spectrum.values, sigma, config["tpoints"],
+                          config["tmax"], config["log_grid"])
+    return spread_series(spectrum, times), long_time_average(spectrum)
+
+
 def _cmd_model(config: dict) -> None:
     started = time.perf_counter()
     variant = _require(config, "variant", "--variant")
@@ -350,18 +369,13 @@ def _cmd_model(config: dict) -> None:
 
     if lc.physical:
         # the grid is checked, and the series evolved, before any file
-        sigma_ref = float(lc.b[0]) if lc.K > 1 else max(abs(lc.a[0]), 1.0)
-        spectrum = eigendecompose(lc)
-        times = time_grid(spectrum.values, sigma_ref, config["tpoints"],
-                          config["tmax"], config["log_grid"])
-        series = spread_series(spectrum, times)
+        series, avg = _evolve(lc, config)
 
     out = _out_dir(config)
     lc.to_csv(out / "coeffs.csv")
     fits: dict = {"depth": lc.K, "physical": lc.physical}
     if lc.physical:
         series.to_csv(out / "series.csv")
-        avg = long_time_average(spectrum)
         _write_json(out / "averages.json",
                     {"C_bar": avg.c_bar, "F_bar": avg.f_bar, "K": lc.K})
         fits["b1"] = float(lc.b[0]) if lc.K > 1 else None
@@ -389,12 +403,15 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
     """The frm/spin run: member coefficients, series, mean profiles, fits.
 
     ``member(stream)`` returns the ``(H, psi0)`` of one member, of dimension
-    ``dim``.  Members run in stream order.  Each drops its H before its one
-    eigensolve, and its spectrum before the next member builds its H.
-    Member 0's spectrum also sets the grid.  The run directory is created
-    once every member has finished, so a failing member leaves nothing.
-    ``extra_fits(out, coefficient_sets, mean_lc)`` writes the command's own
-    artifacts and returns its own ``fits.json`` entries.
+    ``dim``.  Members run one loop in stream order, each through
+    ``_evolve``: H lives only while the coefficients are built, and the
+    spectrum only inside ``_evolve``.  Member 0's spectrum sets the grid.
+    A member's ``DomainError`` exits 2; any other failure of any member
+    becomes an ``EnsembleMemberError`` naming its stream.  The run
+    directory is created once every member has finished, so a failing
+    member leaves nothing.  ``extra_fits(out, coefficient_sets, mean_lc)``
+    writes the command's own artifacts and returns its own ``fits.json``
+    entries.
     """
     started = time.perf_counter()
     realizations = _check_positive_int("--realizations",
@@ -412,33 +429,31 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
             return householder_hessenberg(ham, psi0)
         return lanczos_tridiagonalize(ham, psi0, depth)
 
-    coefficient_sets = [coefficients(0)]
-    if coefficient_sets[0].K < 2:
-        raise DomainError("member 0 has Krylov dimension 1; nothing to fit")
-    spectrum = eigendecompose(coefficient_sets[0])
-    times = time_grid(spectrum.values, float(coefficient_sets[0].b[0]),
-                      config["tpoints"], config["tmax"], config["log_grid"])
-    averages = []
-
-    def run(stream: int) -> SpreadComplexitySeries:
-        nonlocal spectrum
-        if stream:
-            coefficient_sets.append(coefficients(stream))
-            spectrum = eigendecompose(coefficient_sets[stream])
-        series = spread_series(spectrum, times)
-        averages.append(long_time_average(spectrum))
-        spectrum = None
-        return series
-
-    ens = ensemble_average(run, streams)
+    coefficient_sets, members, averages = [], [], []
+    times = None
+    for stream in streams:
+        try:
+            lc = coefficients(stream)
+            if lc.K < 2:
+                raise DomainError(f"member {stream} has Krylov dimension 1; "
+                                  "nothing to fit")
+            series, avg = _evolve(lc, config, times)
+        except DomainError:
+            raise
+        except Exception as exc:
+            raise EnsembleMemberError(
+                f"member {stream} failed [{type(exc).__name__}]: {exc}",
+                stream=stream) from exc
+        times = series.times
+        coefficient_sets.append(lc)
+        members.append(series)
+        averages.append(avg)
+    ens = ensemble_average(members)
 
     out = _out_dir(config)
-    # ensemble rows are ordered by stream, so member series come for free
     for stream in streams:
         coefficient_sets[stream].to_csv(out / f"coeffs_{stream:04d}.csv")
-        SpreadComplexitySeries(
-            times=ens.times, C=ens.members_C[stream],
-            F=ens.members_F[stream]).to_csv(out / f"series_{stream:04d}.csv")
+        members[stream].to_csv(out / f"series_{stream:04d}.csv")
 
     depth_min = min(lc.K for lc in coefficient_sets)
     mean_lc = LanczosCoefficients(
@@ -492,8 +507,14 @@ def _cmd_spin(config: dict) -> None:
     h = _require(config, "h", "--h")
     seed = _check_seed(config["seed"])
     spec = SpinChainSpec(L=L, h=h, g=config["g"], seed=seed)
-    if config["compare_smaller"] and spec.L - 2 < 2:
-        raise DomainError(f"no smaller chain below L={spec.L}")
+    if config["compare_smaller"]:
+        if spec.L - 2 < 2:
+            raise DomainError(f"no smaller chain below L={spec.L}")
+        # the smaller run's --K check, before the first member is built
+        smaller = replace(spec, L=spec.L - 2).dimension
+        if config["depth"] is not None and config["depth"] > smaller:
+            raise DomainError(f"--K {config['depth']} exceeds the dimension "
+                              f"{smaller} of the L={spec.L - 2} chain")
 
     def member(stream: int):
         # H is assembled, and checked, before the state is built
@@ -555,11 +576,7 @@ def _cmd_fit(config: dict) -> None:
     else:
         if config["coeffs"] is None:
             raise DomainError(f"--kind {kind} fits a --coeffs file")
-        try:
-            lc = LanczosCoefficients.from_csv(config["coeffs"])
-        except OSError:
-            raise DomainError(f"coefficient file not found: "
-                              f"{config['coeffs']}")
+        lc = LanczosCoefficients.from_csv(config["coeffs"])
         if kind == "power":
             result = fit_bn_power(lc, window=window)
         elif kind == "linear":

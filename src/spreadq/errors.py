@@ -63,8 +63,8 @@ class NotPowerLawError(FitError):
 
 
 class EnsembleMemberError(NumericalError):
-    """One realization of an ensemble failed; ``seed`` identifies it."""
+    """One member of an ensemble failed; ``stream`` identifies it."""
 
-    def __init__(self, message: str, seed: int):
+    def __init__(self, message: str, stream: int):
         super().__init__(message)
-        self.seed = seed
+        self.stream = stream

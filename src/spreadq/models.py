@@ -17,7 +17,7 @@ state directly (all normalized, ``S(0) = 1``):
 * ``SemicircleAutocorr(alpha)``:       ``S(t) = J_1(2 alpha t) / (alpha t)``,
   the semicircle density on ``[-2 alpha, 2 alpha]`` (Catalan moments).
 
-Two *survival probability* models describe ensemble-averaged fidelities
+One *survival probability* model describes an ensemble-averaged fidelity
 ``F(t) = |S(t)|^2`` including spectral-correlation effects:
 
 * ``FrmSurvival(dim)``: full random matrices of the orthogonal ensemble,
@@ -28,13 +28,6 @@ Two *survival probability* models describe ensemble-averaged fidelities
   with ``eta = sqrt(2 dim)`` (semicircle radius) and saturation
   ``Fbar = 3/(dim+2)``.  ``B_2`` is the two-level form factor of the
   orthogonal ensemble; it carves the correlation hole below ``Fbar``.
-* ``SpinSurvival(sigma0, dim, A, fbar)``: phenomenological form for a
-  disordered spin-1/2 chain,
-
-      <F(t)> = (1-fbar)/(dim-1) * [dim g(t)/g(0) - B_2(sigma0 t/dim)] + fbar,
-      g(t) = exp(-x) + A (1 - exp(-x))/x,   x = sigma0^2 t^2,
-
-  whose ``t = 0`` singularity is removable (``g(0) = 1 + A``).
 
 ``moments_of_model`` returns the power moments of the implied density as
 exact rationals in the model's binary parameters.  For the interpolation
@@ -114,28 +107,9 @@ class FrmSurvival:
         return math.sqrt(2.0 * self.dim)
 
 
-@dataclass(frozen=True)
-class SpinSurvival:
-    sigma0: float
-    dim: int
-    amplitude: float
-    fbar: float
-
-    def __post_init__(self):
-        _require_positive("sigma0", self.sigma0)
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise DomainError(f"dim must be an integer >= 2, got {self.dim}")
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise DomainError(
-                f"amplitude must be finite and >= 0, got {self.amplitude}")
-        if not (0 < self.fbar <= 1):
-            raise DomainError(f"fbar must lie in (0, 1], got {self.fbar}")
-
-
 AmplitudeModel = Union[GaussianAutocorr, TruncatedQuadraticAutocorr,
                        InterpolationAutocorr, SemicircleAutocorr]
-SurvivalModel = Union[FrmSurvival, SpinSurvival]
-AutocorrModel = Union[AmplitudeModel, SurvivalModel]
+AutocorrModel = Union[AmplitudeModel, FrmSurvival]
 
 _VARIANTS = {
     "gaussian": GaussianAutocorr,
@@ -143,7 +117,6 @@ _VARIANTS = {
     "interpolation": InterpolationAutocorr,
     "semicircle": SemicircleAutocorr,
     "frm": FrmSurvival,
-    "spin": SpinSurvival,
 }
 
 
@@ -193,7 +166,7 @@ def eval_autocorr(model: AmplitudeModel, t):
     """Return amplitude S(t) of an amplitude model (scalar or array t).
 
     Survival-probability models carry no amplitude and are rejected with
-    ``VariantError``; use ``eval_frm_sp`` / ``eval_spin_sp`` for those.
+    ``VariantError``; use ``eval_frm_sp`` for those.
     """
     arr, scalar = _time_array(t)
     if isinstance(model, GaussianAutocorr):
@@ -207,7 +180,7 @@ def eval_autocorr(model: AmplitudeModel, t):
                      - 0.5 * np.sqrt(g2 * g2 / (4.0 * s2 * s2) + g2 * arr**2))
     elif isinstance(model, SemicircleAutocorr):
         out = 2.0 * _j1_over_x(2.0 * model.alpha * arr)
-    elif isinstance(model, (FrmSurvival, SpinSurvival)):
+    elif isinstance(model, FrmSurvival):
         raise VariantError(
             f"{type(model).__name__} is a survival-probability model; "
             "it has no return amplitude")
@@ -256,35 +229,6 @@ def eval_frm_sp(dim: int, t, include_form_factor: bool = True):
         bracket = bessel - 0.0 * arr
     fbar = model.fbar
     out = (1.0 - fbar) * (bracket / (model.dim - 1)) + fbar
-    return _restore(out, scalar)
-
-
-def _relaxation_profile(x: np.ndarray, A: float) -> np.ndarray:
-    """g(t) numerator: exp(-x) + A (1 - exp(-x))/x with x = sigma0^2 t^2."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < SERIES_THRESHOLD
-    ratio = np.empty_like(x)
-    xs = x[small]
-    ratio[small] = 1.0 - xs / 2.0 + xs**2 / 6.0 - xs**3 / 24.0
-    xl = x[~small]
-    ratio[~small] = -np.expm1(-xl) / xl
-    return np.exp(-x) + A * ratio
-
-
-def eval_spin_sp(params: SpinSurvival, t):
-    """Phenomenological survival probability of a disordered spin chain.
-
-    The prefactor uses the model's own saturation value ``fbar`` so that
-    ``F(0) = 1`` holds exactly and ``F(t) -> fbar`` as ``t -> infinity``.
-    """
-    if not isinstance(params, SpinSurvival):
-        raise VariantError("eval_spin_sp expects a SpinSurvival instance")
-    arr, scalar = _time_array(t, nonnegative=True)
-    x = params.sigma0**2 * arr**2
-    g = _relaxation_profile(x, params.amplitude)
-    g0 = 1.0 + params.amplitude
-    bracket = params.dim * (g / g0) - eval_b2(params.sigma0 * arr / params.dim)
-    out = (1.0 - params.fbar) * (bracket / (params.dim - 1)) + params.fbar
     return _restore(out, scalar)
 
 

@@ -138,18 +138,21 @@ class LanczosCoefficients:
 
     @classmethod
     def from_csv(cls, path) -> "LanczosCoefficients":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [h.strip() for h in header] != ["n", "a_n", "b_n"]:
-                raise DomainError(f"unexpected coefficient header: {header}")
-            a, b = [], []
-            for row in reader:
-                n = int(row[0])
-                a.append(float(row[1]))
-                if n > 0:
-                    b.append(float(row[2]))
-        return cls(np.array(a), np.array(b))
+        """Read rows ``n,a_n,b_n`` as ``to_csv`` writes them; a missing
+        file or one that is not such a table raises ``DomainError``."""
+        try:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except OSError:
+            raise DomainError(f"coefficient file not found: {path}")
+        if not rows or [h.strip() for h in rows[0]] != ["n", "a_n", "b_n"]:
+            raise DomainError(f"{path}: expected the header n,a_n,b_n")
+        try:
+            return cls(np.array([float(row[1]) for row in rows[1:]]),
+                       np.array([float(row[2]) for row in rows[1:]
+                                 if int(row[0]) > 0]))
+        except (ValueError, IndexError) as exc:
+            raise DomainError(f"{path}: not an n,a_n,b_n table ({exc})")
 
 
 def _recursion(mu, K: int, formal: bool, exact: bool):

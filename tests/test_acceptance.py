@@ -66,9 +66,8 @@ def saturation_grid(lc, points: int) -> np.ndarray:
 
 
 def mean_spread_series(members: dict, times: np.ndarray):
-    def run(stream):
-        return spread_complexity(evolve_amplitudes(members[stream], times))
-    ens = ensemble_average(run, sorted(members))
+    ens = ensemble_average([spread_complexity(evolve_amplitudes(
+        members[stream], times)) for stream in sorted(members)])
     return ens, SpreadComplexitySeries(times=ens.times, C=ens.mean_C,
                                        F=ens.mean_F)
 

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,21 @@ def test_fit_window_is_input_and_exits_2(tmp_path, kind, window, extra):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("table", [
+    pytest.param("n,a_n,b_n\nx,1,2\n", id="not-a-number"),
+    pytest.param("", id="empty"),
+    pytest.param("n,a_n,b_n\n0,1,0\n1,2\n", id="short-row"),
+])
+def test_fit_malformed_coefficient_file_exits_2(tmp_path, capsys, table):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text(table)
+    out = tmp_path / "never"
+    assert spreadq.cli.main(["fit", "--coeffs", str(coeffs), "--kind",
+                             "power", "--out", str(out)]) == 2
+    assert str(coeffs) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_b2_table_default_values(tmp_path):
     proc = run_cli("b2-table", "--out", "tab", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -387,7 +403,7 @@ def test_asymmetric_assembly_exits_3(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("realizations, failing_call", [(1, 1), (2, 2)])
 def test_numerical_failure_leaves_no_run_directory(tmp_path, monkeypatch,
-                                                   realizations,
+                                                   capsys, realizations,
                                                    failing_call):
     # member 0 fails before the grid is fixed; member 1 fails after it
     kernel = _lapack.dsytrd_2stage
@@ -407,6 +423,54 @@ def test_numerical_failure_leaves_no_run_directory(tmp_path, monkeypatch,
     assert code == 3
     assert len(calls) == failing_call
     assert not out.exists()
+    # the message names the failing stream and the original error class
+    err = capsys.readouterr().err
+    assert f"member {failing_call - 1} failed [LapackError]" in err
+
+
+def test_member_0_memory_error_exits_3(tmp_path, monkeypatch, capsys):
+    # member 0 runs in the same loop as every other member: its failures
+    # are wrapped too, so none ends in a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate H")
+
+    monkeypatch.setattr(spreadq.cli, "sample_goe", exhausted)
+    out = tmp_path / "run"
+    code = spreadq.cli.main(["frm", "--dim", "30", "--realizations", "2",
+                             "--tpoints", "20", "--out", str(out)])
+    assert code == 3
+    assert "member 0 failed [MemoryError]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_member_is_alive_at_a_time(tmp_path, monkeypatch):
+    # no spectrum or H of an earlier member is alive when the next H is
+    # built, and no H is alive at its member's eigensolve
+    spectra, hams, alive = [], [], []
+    real_goe, real_eig = spreadq.cli.sample_goe, spreadq.cli.eigendecompose
+
+    def count_alive(event, refs):
+        alive.append((event, sum(ref() is not None for ref in refs)))
+
+    def goe(*args, **kwargs):
+        count_alive("build", spectra + hams)
+        sector = real_goe(*args, **kwargs)
+        hams.append(weakref.ref(sector.H))
+        return sector
+
+    def eig(lc):
+        count_alive("eigensolve", hams)
+        spectrum = real_eig(lc)
+        spectra.append(weakref.ref(spectrum))
+        return spectrum
+
+    monkeypatch.setattr(spreadq.cli, "sample_goe", goe)
+    monkeypatch.setattr(spreadq.cli, "eigendecompose", eig)
+    assert spreadq.cli.main(["frm", "--dim", "40", "--realizations", "3",
+                             "--tpoints", "20", "--out",
+                             str(tmp_path / "run")]) == 0
+    assert len(hams) == len(spectra) == 3
+    assert alive == [("build", 0), ("eigensolve", 0)] * 3
 
 
 GAUSSIAN = ("model", "--variant", "gaussian", "--sigma0", "1", "--K", "8")
@@ -445,6 +509,10 @@ def test_manifest_records_tridiagonalization(tmp_path, command, kernel):
                  id="realizations-0"),
     pytest.param(("spin", "--L", "2", "--h", "0.1", "--compare-smaller"),
                  id="no-smaller-chain"),
+    # 20 is the L=6 sector's dimension, above the L=4 sector's 6
+    pytest.param(("spin", "--L", "6", "--h", "0.4", "--K", "20",
+                  "--compare-smaller", "--tpoints", "20"),
+                 id="K-above-smaller-chain"),
 ])
 def test_ensemble_config_errors_exit_2_without_run_directory(tmp_path,
                                                              command):

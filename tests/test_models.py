@@ -19,13 +19,11 @@ from spreadq import (
     GaussianAutocorr,
     InterpolationAutocorr,
     SemicircleAutocorr,
-    SpinSurvival,
     TruncatedQuadraticAutocorr,
     VariantError,
     eval_autocorr,
     eval_b2,
     eval_frm_sp,
-    eval_spin_sp,
     model_from_dict,
     moments_of_model,
 )
@@ -47,9 +45,6 @@ FRM_SP_ANCHORS = {
     (10, 0.3): 0.6938140218562866228,
 }
 FRM_SP_NO_FF_1000_02 = 0.006150437578008722913
-
-SPIN_PARAMS = dict(sigma0=2.5, dim=3432, amplitude=0.5, fbar=0.01)
-SPIN_SP_ANCHORS = {0.3: 0.6383454893401486936, 2.0: 0.02291614119784196267}
 
 # exact Fraction series oracle, sigma0=2, Gamma=1/2
 INTERP_MOMENTS_S2 = {
@@ -124,8 +119,6 @@ def test_autocorr_magnitude_bounded_by_one():
 def test_autocorr_rejects_sp_models_and_bad_t():
     with pytest.raises(VariantError):
         eval_autocorr(FrmSurvival(dim=100), 1.0)
-    with pytest.raises(VariantError):
-        eval_autocorr(SpinSurvival(**SPIN_PARAMS), 1.0)
     with pytest.raises(DomainError):
         eval_autocorr(GaussianAutocorr(1.0), np.inf)
     with pytest.raises(DomainError):
@@ -141,10 +134,6 @@ def test_model_constructor_validation():
         InterpolationAutocorr(sigma0=1.0, gamma=-0.5)
     with pytest.raises(DomainError):
         FrmSurvival(dim=1)
-    with pytest.raises(DomainError):
-        SpinSurvival(sigma0=1.0, dim=10, amplitude=0.5, fbar=0.0)
-    with pytest.raises(DomainError):
-        SpinSurvival(sigma0=1.0, dim=10, amplitude=0.5, fbar=1.5)
 
 
 def test_b2_anchors():
@@ -194,28 +183,9 @@ def test_frm_correlation_hole_exists_iff_form_factor_on():
     assert np.min(with_ff) < fbar
 
 
-def test_spin_sp_anchors():
-    params = SpinSurvival(**SPIN_PARAMS)
-    for t, expected in SPIN_SP_ANCHORS.items():
-        assert eval_spin_sp(params, t) == pytest.approx(expected, rel=1e-10)
-    assert eval_spin_sp(params, 0.0) == 1.0
-
-
-def test_spin_sp_smooth_through_series_branch():
-    # x = (sigma0 t)^2 crosses the 1e-4 series threshold near t = 4e-3 here
-    params = SpinSurvival(sigma0=2.5, dim=100, amplitude=0.8, fbar=0.02)
-    t = np.linspace(1e-4, 8e-3, 400)
-    vals = eval_spin_sp(params, t)
-    assert np.all(np.isfinite(vals))
-    # second differences stay tiny if the branches join smoothly
-    assert np.max(np.abs(np.diff(vals, 2))) < 1e-6
-
-
 def test_sp_rejects_negative_time():
     with pytest.raises(DomainError):
         eval_frm_sp(100, -1.0)
-    with pytest.raises(DomainError):
-        eval_spin_sp(SpinSurvival(**SPIN_PARAMS), -0.5)
 
 
 def test_gaussian_moments_closed_form():
@@ -330,7 +300,6 @@ def test_model_dict_roundtrip():
          InterpolationAutocorr(2.0, 0.5)),
         ({"variant": "semicircle", "alpha": 1.1}, SemicircleAutocorr(1.1)),
         ({"variant": "frm", "dim": 1000}, FrmSurvival(dim=1000)),
-        ({"variant": "spin", **SPIN_PARAMS}, SpinSurvival(**SPIN_PARAMS)),
     ]
     for data, model in cases:
         assert model_from_dict(data) == model
