@@ -5,6 +5,7 @@ from .errors import (
     DomainError,
     EnsembleMemberError,
     FitError,
+    FloatRangeError,
     InsufficientMomentsError,
     LapackError,
     NormalizationError,

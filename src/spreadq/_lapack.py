@@ -1,4 +1,4 @@
-"""The three LAPACK routines spreadq calls, from the LAPACK numpy links.
+"""The four LAPACK routines spreadq calls, from the LAPACK numpy links.
 
 ``ctypes.CDLL`` on the file of ``numpy.linalg._umath_linalg`` returns a
 handle whose symbol lookup searches that extension's dependencies, so the
@@ -16,14 +16,22 @@ the results are bit-identical to theirs:
   ``scipy.linalg.eigh_tridiagonal`` runs by default;
 - ``dstebz``: one eigenvalue by index (``RANGE='I'``, ``ORDER='E'``,
   ``ABSTOL=0``), as in ``eigvalsh_tridiagonal(select="i")``;
+- ``dsytrd``: blocked one-stage reduction to tridiagonal form
+  (``UPLO='L'``, optimal ``LWORK`` from a workspace query), as
+  ``lapack.dsytrd(a, lower=1, lwork=dsytrd_lwork(n, lower=1)[0])``;
+  scipy's default ``lwork = n`` runs the unblocked algorithm instead;
 - ``dsytrd_2stage``: two-stage reduction to tridiagonal form, which scipy
   does not wrap (in reference LAPACK since 3.7.0).
 
-The first pattern of ``_SYMBOLS`` that names all three routines fixes the
+Which reduction runs at which order is ``matrix_lanczos.reduction_kernel``:
+the one-stage kernel is faster while the matrix fits in cache (half of its
+work is matrix-vector products), the two-stage kernel beyond it.
+
+The first pattern of ``_SYMBOLS`` that names all four routines fixes the
 Fortran INTEGER.  numpy's wheels export ILP64 ``scipy_<name>_64_``, so
 every integer argument, the IWORK/IBLOCK/ISPLIT arrays included, is 64-bit
 there.  Each character argument takes a trailing ``size_t`` length.
-Importing this module fails where no pattern names all three.
+Importing this module fails where no pattern names all four.
 """
 import ctypes
 
@@ -32,7 +40,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, LapackError
 
-_NAMES = ("dstevd", "dstebz", "dsytrd_2stage")
+_NAMES = ("dstevd", "dstebz", "dsytrd", "dsytrd_2stage")
 # symbol pattern and Fortran INTEGER of each OpenBLAS or LAPACK build
 _SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
             ("scipy_{}_", ctypes.c_int), ("{}_", ctypes.c_int))
@@ -42,8 +50,8 @@ for _SYMBOL, _INTEGER in _SYMBOLS:
     if all(hasattr(_LIBRARY, _SYMBOL.format(name)) for name in _NAMES):
         break
 else:
-    raise ImportError("the LAPACK numpy links lacks dstevd, dstebz or "
-                      "dsytrd_2stage")
+    raise ImportError("the LAPACK numpy links lacks dstevd, dstebz, dsytrd "
+                      "or dsytrd_2stage")
 
 _INT = ctypes.POINTER(_INTEGER)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
@@ -72,6 +80,9 @@ _STEBZ = _routine("dstebz", [_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT,
                              _INT, _DOUBLE, _VECTOR, _VECTOR, _INT, _INT,
                              _VECTOR, _INDICES, _INDICES, _VECTOR, _INDICES,
                              _INT, _LENGTH, _LENGTH])
+# UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO
+_SYTRD = _routine("dsytrd", [_CHAR, _INT, _SQUARE, _INT, _VECTOR, _VECTOR,
+                             _VECTOR, _VECTOR, _INT, _INT, _LENGTH])
 # VECT, UPLO, N, A, LDA, D, E, TAU, HOUS2, LHOUS2, WORK, LWORK, INFO
 _SYTRD_2STAGE = _routine("dsytrd_2stage",
                          [_CHAR, _CHAR, _INT, _SQUARE, _INT, _VECTOR,
@@ -134,14 +145,36 @@ def dstebz(d, e, i: int) -> float:
     return float(values[0])
 
 
+def _square_order(name: str, a) -> int:
+    n = a.shape[0]
+    if a.shape != (n, n) or n < 2:
+        raise DomainError(f"{name} needs a square array of order >= 2, "
+                          f"got shape {a.shape}")
+    return n
+
+
+def dsytrd(a):
+    """Reduce the lower triangle of a Fortran-ordered float64 square array
+    in place with the blocked one-stage algorithm (``UPLO='L'``); returns
+    the diagonal and off-diagonal ``(d, e)`` of the tridiagonal."""
+    n = _square_order("dsytrd", a)
+    n_c, info, query = _INTEGER(n), _INTEGER(0), _INTEGER(-1)
+    d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    work = np.empty(1)
+    _SYTRD(b"L", n_c, a, n_c, d, e, tau, work, query, info, 1)
+    _check("dsytrd", info)
+    lwork = int(work[0])
+    _SYTRD(b"L", n_c, a, n_c, d, e, tau, np.empty(lwork), _INTEGER(lwork),
+           info, 1)
+    _check("dsytrd", info)
+    return d, e
+
+
 def dsytrd_2stage(a):
     """Reduce the lower triangle of a Fortran-ordered float64 square array
     in place (``VECT='N'``, ``UPLO='L'``); returns the diagonal and
     off-diagonal ``(d, e)`` of the tridiagonal."""
-    n = a.shape[0]
-    if a.shape != (n, n) or n < 2:
-        raise DomainError(f"dsytrd_2stage needs a square array of "
-                          f"order >= 2, got shape {a.shape}")
+    n = _square_order("dsytrd_2stage", a)
     n_c, info, query = _INTEGER(n), _INTEGER(0), _INTEGER(-1)
     d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
     hous2, work = np.empty(1), np.empty(1)

@@ -264,6 +264,8 @@ def detect_peak_plateau(series: SpreadComplexitySeries) -> dict:
     if np.count_nonzero(window_mask) < 4:
         raise WindowError("final decade of the grid holds too few points")
     c_plateau = float(np.mean(spread[window_mask]))
+    if c_plateau <= 0.0:
+        raise WindowError("C stays 0: the state never spreads")
     crossing = np.nonzero(spread >= 0.9 * c_plateau)[0]
     if crossing.size == 0:
         raise WindowError("series never reaches its plateau level")

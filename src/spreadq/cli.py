@@ -50,6 +50,7 @@ from .analysis import (
 from .errors import (
     DomainError,
     EnsembleMemberError,
+    FloatRangeError,
     NumericalError,
     WindowError,
 )
@@ -66,7 +67,11 @@ from .hamiltonians import (
     domain_wall_state,
     sample_goe,
 )
-from .matrix_lanczos import householder_hessenberg, lanczos_tridiagonalize
+from .matrix_lanczos import (
+    householder_hessenberg,
+    lanczos_tridiagonalize,
+    reduction_kernel,
+)
 from .models import eval_b2, model_from_dict, moments_of_model
 from .moment_lanczos import (
     MAX_PRECISION_BITS,
@@ -364,12 +369,17 @@ def _cmd_model(config: dict) -> None:
             params[key] = config[key]
     model = model_from_dict(params)
     moments = moments_of_model(model, 2 * depth)
-    lc = moments_to_lanczos(moments, depth, precision_bits=bits,
-                            formal=config["formal"])
-
-    if lc.physical:
-        # the grid is checked, and the series evolved, before any file
-        series, avg = _evolve(lc, config)
+    try:
+        lc = moments_to_lanczos(moments, depth, precision_bits=bits,
+                                formal=config["formal"])
+        if lc.physical:
+            # the grid is checked, and the series evolved, before any file
+            series, avg = _evolve(lc, config)
+    except FloatRangeError as exc:
+        # the model parameters set the energy scale
+        flags = " ".join(f"--{key} {value}" for key, value in params.items()
+                         if key != "variant")
+        raise FloatRangeError(f"{flags}: {exc}") from exc
 
     out = _out_dir(config)
     lc.to_csv(out / "coeffs.csv")
@@ -477,7 +487,7 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
     _write_json(out / "fits.json", fits)
     _write_manifest(out, command, config,
                     {"master": seed, "streams": streams}, started,
-                    "dsytrd_2stage" if depth is None else "lanczos")
+                    reduction_kernel(dim) if depth is None else "lanczos")
 
 
 def _cmd_frm(config: dict) -> None:

@@ -23,6 +23,10 @@ class NormalizationError(DomainError):
     """A state vector (or amplitude set) is not normalized."""
 
 
+class FloatRangeError(DomainError):
+    """Inputs put a result outside the range of normal floats."""
+
+
 class NumericalError(RuntimeError):
     """A computation failed for numerical rather than configuration reasons."""
 

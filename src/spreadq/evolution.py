@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import dstevd
-from .errors import DomainError, NumericalError
+from .errors import DomainError, FloatRangeError, NumericalError
 from .moment_lanczos import LanczosCoefficients
 
 UNITARITY_ATOL = 1e-10
@@ -139,7 +139,10 @@ def eigendecompose(lc: LanczosCoefficients) -> Spectrum:
     if not lc.physical:
         raise DomainError(
             "formal coefficient sets do not define a Hermitian evolution")
-    return Spectrum(*dstevd(lc.a, lc.b))
+    spectrum = Spectrum(*dstevd(lc.a, lc.b))
+    if not np.all(np.isfinite(spectrum.values)):
+        raise FloatRangeError("an eigenvalue of T exceeds the float range")
+    return spectrum
 
 
 def time_grid(values, sigma: float, points, tmax=None, log=True) \
@@ -157,6 +160,9 @@ def time_grid(values, sigma: float, points, tmax=None, log=True) \
         gaps = gaps[gaps > 1e-12 * max(1.0, abs(values).max(initial=0.0))]
         tmax = (HEISENBERG_MULTIPLE * 2.0 * math.pi / float(np.median(gaps))
                 if gaps.size else 1e3 / sigma)
+        if not math.isfinite(tmax):
+            raise FloatRangeError("the spectrum sets a grid end beyond the "
+                                  "float range")
     if not isinstance(points, (int, np.integer)) or points < 2:
         raise DomainError(f"--tpoints must be an integer >= 2, got {points}")
     if not (math.isfinite(tmax) and tmax > 0):

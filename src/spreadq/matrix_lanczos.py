@@ -6,12 +6,14 @@ Two independent routes to the same coefficients:
   reorthogonalization (two Gram-Schmidt passes against every previous basis
   vector) each step.  Reference for partial depth K < dimension.
 - ``householder_hessenberg``: rotate psi0 onto e1 with one reflector (an
-  index swap when psi0 is a basis vector), then LAPACK's two-stage
-  reduction ``dsytrd_2stage`` (full matrix to band with level-3 BLAS, band
-  to tridiagonal by bulge chasing, bound in ``_lapack``).  With the lower
-  triangle stored, the reduction transforms only rows and columns 2..n, so
-  e1 stays fixed and the first basis vector of the combined transform
-  stays (up to sign) psi0.
+  index swap when psi0 is a basis vector), then one LAPACK reduction to
+  tridiagonal form, bound in ``_lapack`` and chosen by ``reduction_kernel``
+  from the order n alone: the blocked one-stage ``dsytrd`` below
+  ``TWO_STAGE_MIN_ORDER``, the two-stage ``dsytrd_2stage`` (full matrix to
+  band with level-3 BLAS, band to tridiagonal by bulge chasing) at and
+  above it.  With the lower triangle stored, either reduction transforms
+  only rows and columns 2..n, so e1 stays fixed and the first basis vector
+  of the combined transform stays (up to sign) psi0.
   Reference for full-depth coefficient profiles; backward-stable at any
   dimension.
 
@@ -31,6 +33,8 @@ from .moment_lanczos import LanczosCoefficients
 
 TERMINATION_RTOL = 1e-12
 POWER_ITERATIONS = 30
+# smallest order reduced by dsytrd_2stage; see reduction_kernel
+TWO_STAGE_MIN_ORDER = 2048
 
 
 def spectral_norm_estimate(matrix: np.ndarray) -> float:
@@ -93,6 +97,37 @@ def lanczos_tridiagonalize(ham, psi0, K: int, return_basis: bool = False):
     return lc
 
 
+def reduction_kernel(n: int) -> str:
+    """Name of the ``_lapack`` reduction ``householder_hessenberg`` runs on
+    a matrix of order ``n``: ``"dsytrd"`` below ``TWO_STAGE_MIN_ORDER``,
+    ``"dsytrd_2stage"`` from it on.
+
+    The two-stage reduction pays for its single-threaded bulge chasing
+    only once the matrix no longer fits in cache.  Alternated calls in one
+    process on GOE matrices (2-core x86-64 VM, numpy's OpenBLAS 0.3.31,
+    median of 4 calls each):
+
+    ====  ==========  =================
+    n     ``dsytrd``  ``dsytrd_2stage``
+    ====  ==========  =================
+    1000       53 ms              95 ms
+    1500      198 ms             251 ms
+    2000      485 ms             602 ms
+    2500      892 ms             908 ms
+    2800     1164 ms            1137 ms
+    3000     1606 ms            1365 ms
+    3432     3098 ms            2630 ms
+    ====  ==========  =================
+
+    Between about 2000 and 2800 the two trade places from run to run (at
+    2048: 511 against 504 ms in one run, 523 against 575 ms in another),
+    so the crossover may sit anywhere in that band.  frm's N = 1000
+    members take the one-stage kernel and the L = 14 spin chain
+    (n = 3432) the two-stage one.
+    """
+    return "dsytrd" if n < TWO_STAGE_MIN_ORDER else "dsytrd_2stage"
+
+
 def householder_hessenberg(ham, psi0) -> LanczosCoefficients:
     """Full-depth tridiagonalization via one reflector plus LAPACK.
 
@@ -104,9 +139,10 @@ def householder_hessenberg(ham, psi0) -> LanczosCoefficients:
     When psi0 is a multiple of a basis vector e_j, the reflector is the
     symmetric swap of indices 0 and j (a plain copy for j = 0): its sign
     flips do not change a_n or |b_n|, so no rank-2 update is formed.  Any
-    other psi0 takes the reflector route.  Either way ``dsytrd_2stage``
-    works in place on one private copy; the caller's H is never written.
-    A nonzero LAPACK ``info`` raises ``LapackError``.
+    other psi0 takes the reflector route.  Either way the reduction that
+    ``reduction_kernel`` names for the order of H works in place on one
+    private copy; the caller's H is never written.  A nonzero LAPACK
+    ``info`` raises ``LapackError``.
     """
     matrix, start = matrix_and_state(ham, psi0)
     n = matrix.shape[0]
@@ -140,7 +176,7 @@ def householder_hessenberg(ham, psi0) -> LanczosCoefficients:
     # rotated is symmetric and C-ordered, so its transpose is the same
     # matrix in Fortran order: the reduction overwrites it without another
     # copy
-    diag, off = _lapack.dsytrd_2stage(rotated.T)
+    diag, off = getattr(_lapack, reduction_kernel(n))(rotated.T)
     off = np.abs(off)
 
     # the full tridiagonal is orthogonally similar to H: its end

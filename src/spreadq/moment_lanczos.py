@@ -43,6 +43,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    FloatRangeError,
     InsufficientMomentsError,
     PositivityError,
     PrecisionError,
@@ -54,6 +55,10 @@ EXHAUSTION_RTOL = 1e-24
 
 # Hard ceiling for the automatic precision escalation.
 MAX_PRECISION_BITS = 1 << 14
+
+# Smallest positive normal float: a b_n^2 below it loses digits when it
+# is rounded to a float before its root is taken.
+FLOAT_TINY = float(np.finfo(float).tiny)
 
 # Two floating results are considered converged when the final b agrees
 # to this relative tolerance between consecutive precision levels.
@@ -206,12 +211,40 @@ def _recursion(mu, K: int, formal: bool, exact: bool):
     return a, b2, violation
 
 
+def _float(value) -> float:
+    """``value`` rounded to a float, ``inf`` beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
+def _signed_root(value, n: int) -> float:
+    """b_n as a float from ``value`` = b_n^2: ``sign(value) sqrt|value|``.
+
+    Where ``value`` rounds to a normal float, this is the root of that
+    float.  Elsewhere the root is taken first, at 113 bits (an ``mpf`` has
+    no exponent limit), so a b_n whose square over- or underflows a float
+    keeps its digits.  A b_n that is itself no normal float raises
+    ``FloatRangeError``.
+    """
+    fv = _float(value)
+    if value == 0 or FLOAT_TINY <= abs(fv) < np.inf:
+        return np.sign(fv) * np.sqrt(abs(fv))
+    with mpmath.workprec(113):
+        root = mpmath.sqrt(abs(_mpf(value)))
+        if not FLOAT_TINY <= _float(root) < np.inf:
+            raise FloatRangeError(f"|b_{n}| = {mpmath.nstr(root, 5)} is "
+                                  "outside the normal float range")
+    return float(root) if value > 0 else -float(root)
+
+
 def _finalize(a, b2, violation) -> LanczosCoefficients:
-    a_arr = np.array([float(x) for x in a], dtype=float)
-    b_arr = np.empty(len(b2), dtype=float)
-    for i, v in enumerate(b2):
-        fv = float(v)
-        b_arr[i] = np.sign(fv) * np.sqrt(abs(fv))
+    a_arr = np.array([_float(x) for x in a], dtype=float)
+    if not np.all(np.isfinite(a_arr)):
+        raise FloatRangeError("an a_n exceeds the float range")
+    b_arr = np.array([_signed_root(v, n) for n, v in enumerate(b2, 1)],
+                     dtype=float)
     return LanczosCoefficients(a_arr, b_arr, physical=violation is None,
                                violation_depth=violation)
 

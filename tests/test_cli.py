@@ -23,6 +23,7 @@ from spreadq import (
     LanczosCoefficients,
     LapackError,
     _lapack,
+    matrix_lanczos,
 )
 
 # Directory holding the spreadq package this process imported (``src/`` or
@@ -349,18 +350,31 @@ def test_model_diagonalizes_once(tmp_path, eigensolve_calls):
     assert len(eigensolve_calls) == 1
 
 
-def test_dsytrd_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # the two-stage routine reports a nonzero INFO, its 13th argument
-    def failing(*args):
-        args[12].value = 1
+def use_reduction(monkeypatch, kernel: str) -> None:
+    """Make ``householder_hessenberg`` run the reduction ``kernel`` at every
+    order, by moving the crossover of ``reduction_kernel``."""
+    order = 2 if kernel == "dsytrd_2stage" else sys.maxsize
+    monkeypatch.setattr(matrix_lanczos, "TWO_STAGE_MIN_ORDER", order)
 
-    monkeypatch.setattr(_lapack, "_SYTRD_2STAGE", failing)
+
+@pytest.mark.parametrize("routine, kernel, info_argument", [
+    pytest.param("_SYTRD", "dsytrd", 9, id="dsytrd"),
+    pytest.param("_SYTRD_2STAGE", "dsytrd_2stage", 12, id="dsytrd_2stage"),
+])
+def test_dsytrd_failure_exits_3(tmp_path, monkeypatch, capsys, routine,
+                                kernel, info_argument):
+    # the raw routine reports a nonzero INFO
+    def failing(*args):
+        args[info_argument].value = 1
+
+    use_reduction(monkeypatch, kernel)
+    monkeypatch.setattr(_lapack, routine, failing)
     out = tmp_path / "run"
     code = spreadq.cli.main(["frm", "--dim", "30", "--realizations", "1",
                              "--tpoints", "20", "--out", str(out)])
     assert code == 3
     err = capsys.readouterr().err
-    assert "LapackError" in err and "dsytrd_2stage failed with info=1" in err
+    assert "LapackError" in err and f"{kernel} failed with info=1" in err
     assert not out.exists()
 
 
@@ -401,21 +415,28 @@ def test_asymmetric_assembly_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("realizations, failing_call", [(1, 1), (2, 2)])
+# the reduction --dim 30 runs has the unsuffixed ids
+@pytest.mark.parametrize("realizations, failing_call, name", [
+    pytest.param(1, 1, "dsytrd", id="1-1"),
+    pytest.param(2, 2, "dsytrd", id="2-2"),
+    pytest.param(1, 1, "dsytrd_2stage", id="1-1-dsytrd_2stage"),
+    pytest.param(2, 2, "dsytrd_2stage", id="2-2-dsytrd_2stage"),
+])
 def test_numerical_failure_leaves_no_run_directory(tmp_path, monkeypatch,
                                                    capsys, realizations,
-                                                   failing_call):
+                                                   failing_call, name):
     # member 0 fails before the grid is fixed; member 1 fails after it
-    kernel = _lapack.dsytrd_2stage
+    use_reduction(monkeypatch, name)
+    kernel = getattr(_lapack, name)
     calls = []
 
     def failing_once(a):
         calls.append(a.shape[0])
         if len(calls) == failing_call:
-            raise LapackError("dsytrd_2stage failed with info=1")
+            raise LapackError(f"{name} failed with info=1")
         return kernel(a)
 
-    monkeypatch.setattr(_lapack, "dsytrd_2stage", failing_once)
+    monkeypatch.setattr(_lapack, name, failing_once)
     out = tmp_path / "run"
     code = spreadq.cli.main(["frm", "--dim", "30", "--realizations",
                              str(realizations), "--tpoints", "20",
@@ -481,8 +502,8 @@ SPIN = ("spin", "--L", "4", "--h", "0.1", "--realizations", "1")
 
 
 @pytest.mark.parametrize("command, kernel", [
-    pytest.param(FRM, "dsytrd_2stage", id="frm"),
-    pytest.param(SPIN, "dsytrd_2stage", id="spin"),
+    pytest.param(FRM, "dsytrd", id="frm"),
+    pytest.param(SPIN, "dsytrd", id="spin"),
     pytest.param(FRM + ("--K", "5"), "lanczos", id="frm-K"),
     pytest.param(SPIN + ("--K", "3"), "lanczos", id="spin-K"),
     pytest.param(GAUSSIAN, None, id="model"),
@@ -494,6 +515,15 @@ def test_manifest_records_tridiagonalization(tmp_path, command, kernel):
                              "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest.get("tridiagonalization") == kernel
+
+
+def test_manifest_records_two_stage_reduction(tmp_path, monkeypatch):
+    # at and above the crossover order the two-stage reduction runs
+    monkeypatch.setattr(matrix_lanczos, "TWO_STAGE_MIN_ORDER", 30)
+    out = tmp_path / "run"
+    assert spreadq.cli.main([*FRM, "--tpoints", "20", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tridiagonalization"] == "dsytrd_2stage"
 
 
 @pytest.mark.parametrize("command", [
@@ -736,6 +766,88 @@ def test_model_config_rejects_threads_key(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "'threads'" in proc.stderr
     assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("variant, scale, K", [
+    # b_n^2 = n sigma0^2 overflows a float from n = 2 on
+    pytest.param("gaussian", 1e154, 40, id="gaussian-sigma0-1e154"),
+    # b_n^2 = alpha^2 is subnormal, then below the subnormal range
+    pytest.param("semicircle", 1e-160, 40, id="semicircle-alpha-1e-160"),
+    pytest.param("semicircle", 1e-170, 40, id="semicircle-alpha-1e-170"),
+])
+def test_model_keeps_b_n_whose_square_leaves_the_float_range(
+        tmp_path, variant, scale, K):
+    flag = "--alpha" if variant == "semicircle" else "--sigma0"
+    out = tmp_path / "run"
+    assert spreadq.cli.main(["model", "--variant", variant, flag,
+                             str(scale), "--K", str(K), "--tpoints", "20",
+                             "--out", str(out)]) == 0
+    _, a, b = read_coeffs(out / "coeffs.csv")
+    n = np.arange(1, K)
+    exact = scale * (np.sqrt(n) if variant == "gaussian" else np.ones(K - 1))
+    assert np.array_equal(a, np.zeros(K))
+    np.testing.assert_allclose(b[1:], exact, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("variant, flag, value", [
+    # |b_4| = 2 sigma0 overflows
+    pytest.param("gaussian", "--sigma0", "1e308", id="b_n-overflow"),
+    # b_n = alpha is subnormal
+    pytest.param("semicircle", "--alpha", "1e-310", id="b_n-subnormal"),
+    # b_n = alpha is a float, the eigenvalues of T near 2 alpha are not
+    pytest.param("semicircle", "--alpha", "1e308", id="eigenvalue-overflow"),
+    # the grid end 1e3 / alpha overflows
+    pytest.param("semicircle", "--alpha", "1e-306", id="grid-overflow"),
+])
+def test_model_scale_beyond_the_float_range_exits_2(tmp_path, variant, flag,
+                                                    value):
+    proc = run_cli("model", "--variant", variant, flag, value, "--K", "40",
+                   "--tpoints", "20", "--out", "never", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{flag} {float(value)}" in proc.stderr
+    assert "float range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "never").exists()
+
+
+def test_model_k_1_skips_peak_plateau(tmp_path):
+    # a single Krylov vector never spreads: C = 0 has no plateau to scale by
+    out = tmp_path / "run"
+    assert spreadq.cli.main([*GAUSSIAN[:-1], "1", "--tpoints", "20",
+                             "--out", str(out)]) == 0
+    fits = json.loads((out / "fits.json").read_text())
+    assert fits["depth"] == 1
+    assert "skipped" in fits["peak_plateau"]
+
+
+def test_precision_ceiling_exits_3_without_run_directory(tmp_path):
+    # a floor at the ceiling leaves no level to escalate to, so the
+    # recursion cannot confirm its result
+    proc = run_cli(*INTERPOLATION, "--precision-bits", "16384",
+                   "--tpoints", "20", "--out", "never", cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "[PrecisionError]" in proc.stderr
+    assert not (tmp_path / "never").exists()
+
+
+def test_goe_long_time_survival_matches_haar_law(tmp_path):
+    # GOE eigenvectors are Haar on O(N), so u_k = <k|e_0> is a uniform unit
+    # vector and F_bar = sum_k u_k^4 for one member.  With
+    # D = N(N+2)(N+4)(N+6), E[u_1^4] = 3/(N(N+2)), E[u_1^8] = 105/D and
+    # E[u_1^4 u_2^4] = 9/D, so
+    #   E[F_bar]   = 3/(N+2),
+    #   E[F_bar^2] = (N 105 + N(N-1) 9)/D = (9N+96)/((N+2)(N+4)(N+6)).
+    # fits.json holds the mean of M members: within 4 sigma/sqrt(M).
+    N, M = 100, 40
+    out = tmp_path / "run"
+    assert spreadq.cli.main(["frm", "--dim", str(N), "--realizations",
+                             str(M), "--tpoints", "20",
+                             "--out", str(out)]) == 0
+    fits = json.loads((out / "fits.json").read_text())
+    mean = 3 / (N + 2)
+    var = (9 * N + 96) / ((N + 2) * (N + 4) * (N + 6)) - mean ** 2
+    f_bar = fits["long_time_average"]["F_bar"]
+    assert abs(f_bar - mean) <= 4 * math.sqrt(var / M)
 
 
 @pytest.mark.parametrize("command", [FRM, SPIN], ids=["frm", "spin"])

@@ -3,13 +3,14 @@
 This is a cross-library check: ``_lapack`` binds the routines from the
 OpenBLAS numpy links (ILP64 symbols, 64-bit integer arguments), while
 ``scipy.linalg`` calls its own OpenBLAS build through LP64 wrappers.
-``dstevd`` and ``dstebz`` are called with the arguments scipy passes, so
-their results must equal ``eigh_tridiagonal`` and
-``eigvalsh_tridiagonal(select="i")`` exactly, not just to a tolerance.
+``dstevd``, ``dstebz`` and ``dsytrd`` are called with the arguments scipy
+passes, so their results must equal ``eigh_tridiagonal``,
+``eigvalsh_tridiagonal(select="i")`` and ``lapack.dsytrd`` with the
+optimal ``lwork`` exactly, not just to a tolerance.
 """
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 import spreadq.cli
 from spreadq import DomainError, LapackError, _lapack
@@ -41,6 +42,27 @@ def test_dstebz_equals_eigvalsh_tridiagonal_at_both_ends(label, d, e):
     for i in (0, d.size - 1):
         expected = eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))
         assert np.array_equal([_lapack.dstebz(d, e, i)], expected)
+
+
+@pytest.mark.parametrize("n", [K for K in ORDERS if K >= 2] + [1000])
+def test_dsytrd_equals_scipy_dsytrd_with_optimal_lwork(n):
+    rng = np.random.default_rng(20261019 + n)
+    raw = rng.standard_normal((n, n))
+    ham = (raw + raw.T) / 2
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    _, expected_d, expected_e, _, info = lapack.dsytrd(ham, lower=1,
+                                                       lwork=lwork)
+    assert info == 0
+    d, e = _lapack.dsytrd(np.array(ham, order="F"))
+    assert np.array_equal(d, expected_d)
+    assert np.array_equal(e, expected_e)
+
+
+@pytest.mark.parametrize("reduction", [_lapack.dsytrd, _lapack.dsytrd_2stage])
+def test_reductions_need_a_square_array_of_order_two(reduction):
+    for shape in ((1, 1), (3, 2)):
+        with pytest.raises(DomainError, match="square array"):
+            reduction(np.ones(shape, order="F"))
 
 
 def test_bindings_leave_their_inputs_unchanged():
@@ -75,7 +97,8 @@ def test_shapes_and_indices_checked():
 
 
 # position of INFO among each raw routine's arguments
-INFO_ARGUMENT = {"_STEVD": 10, "_STEBZ": 17, "_SYTRD_2STAGE": 12}
+INFO_ARGUMENT = {"_STEVD": 10, "_STEBZ": 17, "_SYTRD": 9,
+                 "_SYTRD_2STAGE": 12}
 
 
 def failing_routine(info_argument):
@@ -88,6 +111,7 @@ def failing_routine(info_argument):
 @pytest.mark.parametrize("routine, call", [
     ("_STEVD", lambda: _lapack.dstevd(np.ones(4), np.ones(3))),
     ("_STEBZ", lambda: _lapack.dstebz(np.ones(4), np.ones(3), 0)),
+    ("_SYTRD", lambda: _lapack.dsytrd(np.eye(4, order="F"))),
     ("_SYTRD_2STAGE", lambda: _lapack.dsytrd_2stage(np.eye(4, order="F"))),
 ])
 def test_nonzero_info_raises_lapack_error(monkeypatch, routine, call):
@@ -98,7 +122,8 @@ def test_nonzero_info_raises_lapack_error(monkeypatch, routine, call):
 
 
 @pytest.mark.parametrize("routine, name", [("_STEVD", "dstevd"),
-                                           ("_STEBZ", "dstebz")])
+                                           ("_STEBZ", "dstebz"),
+                                           ("_SYTRD", "dsytrd")])
 def test_nonzero_info_exits_3_without_run_directory(tmp_path, monkeypatch,
                                                     capsys, routine, name):
     monkeypatch.setattr(_lapack, routine,

@@ -23,8 +23,10 @@ from spreadq.hamiltonians import (
     sample_goe,
 )
 from spreadq.matrix_lanczos import (
+    TWO_STAGE_MIN_ORDER,
     householder_hessenberg,
     lanczos_tridiagonalize,
+    reduction_kernel,
     spectral_norm_estimate,
 )
 
@@ -267,6 +269,36 @@ def test_householder_leaves_caller_matrix_untouched(order, start_kind):
     before = ham.copy()
     householder_hessenberg(ham, start)
     assert np.array_equal(ham, before)
+
+
+def test_reduction_kernel_switches_at_the_crossover_order():
+    assert reduction_kernel(2) == "dsytrd"
+    assert reduction_kernel(TWO_STAGE_MIN_ORDER - 1) == "dsytrd"
+    assert reduction_kernel(TWO_STAGE_MIN_ORDER) == "dsytrd_2stage"
+    # frm at N = 1000 and the L = 14 chain (n = 3432) fall on either side
+    assert reduction_kernel(1000) == "dsytrd"
+    assert reduction_kernel(3432) == "dsytrd_2stage"
+
+
+@pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
+def test_householder_runs_the_named_reduction(monkeypatch, start_kind):
+    ham, general = random_symmetric(64, seed=77)
+    start = {"e0": unit_vector(64, 0), "ej": unit_vector(64, 5),
+             "general": general}[start_kind]
+    results, calls = {}, []
+    for crossover in (10 ** 9, 2):
+        monkeypatch.setattr(matrix_lanczos, "TWO_STAGE_MIN_ORDER", crossover)
+        name = reduction_kernel(64)
+        kernel = getattr(_lapack, name)
+        monkeypatch.setattr(_lapack, name,
+                            lambda a, name=name, kernel=kernel:
+                            calls.append(name) or kernel(a))
+        results[name] = householder_hessenberg(ham, start)
+    assert calls == ["dsytrd", "dsytrd_2stage"]
+    one, two = results["dsytrd"], results["dsytrd_2stage"]
+    norm = np.max(np.abs(np.linalg.eigvalsh(ham)))
+    np.testing.assert_allclose(one.a, two.a, rtol=0, atol=1e-12 * norm)
+    np.testing.assert_allclose(one.b, two.b, rtol=0, atol=1e-12 * norm)
 
 
 # the two LAPACK reductions to tridiagonal form, each returning (d, e)
