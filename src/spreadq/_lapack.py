@@ -1,4 +1,5 @@
-"""The four LAPACK routines spreadq calls, from the LAPACK numpy links.
+"""The LAPACK and BLAS routines spreadq calls, from the OpenBLAS numpy
+links.
 
 ``ctypes.CDLL`` on the file of ``numpy.linalg._umath_linalg`` returns a
 handle whose symbol lookup searches that extension's dependencies, so the
@@ -21,17 +22,20 @@ the results are bit-identical to theirs:
   ``lapack.dsytrd(a, lower=1, lwork=dsytrd_lwork(n, lower=1)[0])``;
   scipy's default ``lwork = n`` runs the unblocked algorithm instead;
 - ``dsytrd_2stage``: two-stage reduction to tridiagonal form, which scipy
-  does not wrap (in reference LAPACK since 3.7.0).
+  does not wrap (in reference LAPACK since 3.7.0);
+- ``dlatrd`` and the BLAS ``dsyr2k``: one panel of ``dsytrd``'s blocked
+  loop and its rank-2k update of the trailing lower triangle, which
+  ``dsytrd_leading`` repeats only as far as the leading columns it needs.
 
 Which reduction runs at which order is ``matrix_lanczos.reduction_kernel``:
 the one-stage kernel is faster while the matrix fits in cache (half of its
 work is matrix-vector products), the two-stage kernel beyond it.
 
-The first pattern of ``_SYMBOLS`` that names all four routines fixes the
+The first pattern of ``_SYMBOLS`` that names all six routines fixes the
 Fortran INTEGER.  numpy's wheels export ILP64 ``scipy_<name>_64_``, so
 every integer argument, the IWORK/IBLOCK/ISPLIT arrays included, is 64-bit
 there.  Each character argument takes a trailing ``size_t`` length.
-Importing this module fails where no pattern names all four.
+Importing this module fails where no pattern names all six.
 """
 import ctypes
 
@@ -40,7 +44,8 @@ from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, LapackError
 
-_NAMES = ("dstevd", "dstebz", "dsytrd", "dsytrd_2stage")
+_NAMES = ("dstevd", "dstebz", "dsytrd", "dsytrd_2stage", "dlatrd",
+          "dsyr2k")
 # symbol pattern and Fortran INTEGER of each OpenBLAS or LAPACK build
 _SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
             ("scipy_{}_", ctypes.c_int), ("{}_", ctypes.c_int))
@@ -50,8 +55,8 @@ for _SYMBOL, _INTEGER in _SYMBOLS:
     if all(hasattr(_LIBRARY, _SYMBOL.format(name)) for name in _NAMES):
         break
 else:
-    raise ImportError("the LAPACK numpy links lacks dstevd, dstebz, dsytrd "
-                      "or dsytrd_2stage")
+    raise ImportError("the LAPACK numpy links lacks one of "
+                      + ", ".join(_NAMES))
 
 _INT = ctypes.POINTER(_INTEGER)
 _DOUBLE = ctypes.POINTER(ctypes.c_double)
@@ -59,6 +64,8 @@ _VECTOR = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
 _INDEX = np.dtype(_INTEGER)
 _INDICES = np.ctypeslib.ndpointer(_INDEX, ndim=1, flags="C_CONTIGUOUS")
 _SQUARE = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+# a raw address: an element of a matrix, read with the matrix's LDA
+_ADDRESS = ctypes.c_void_p
 _CHAR = ctypes.c_char_p
 _LENGTH = ctypes.c_size_t
 
@@ -80,6 +87,13 @@ _STEBZ = _routine("dstebz", [_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT,
                              _INT, _DOUBLE, _VECTOR, _VECTOR, _INT, _INT,
                              _VECTOR, _INDICES, _INDICES, _VECTOR, _INDICES,
                              _INT, _LENGTH, _LENGTH])
+# UPLO, N, NB, A, LDA, E, TAU, W, LDW
+_LATRD = _routine("dlatrd", [_CHAR, _INT, _INT, _ADDRESS, _INT, _VECTOR,
+                             _VECTOR, _VECTOR, _INT, _LENGTH])
+# UPLO, TRANS, N, K, ALPHA, A, LDA, B, LDB, BETA, C, LDC
+_SYR2K = _routine("dsyr2k", [_CHAR, _CHAR, _INT, _INT, _DOUBLE, _ADDRESS,
+                             _INT, _VECTOR, _INT, _DOUBLE, _ADDRESS, _INT,
+                             _LENGTH, _LENGTH])
 # UPLO, N, A, LDA, D, E, TAU, WORK, LWORK, INFO
 _SYTRD = _routine("dsytrd", [_CHAR, _INT, _SQUARE, _INT, _VECTOR, _VECTOR,
                              _VECTOR, _VECTOR, _INT, _INT, _LENGTH])
@@ -187,3 +201,53 @@ def dsytrd_2stage(a):
                   _INTEGER(lhous2), work, _INTEGER(lwork), info, 1, 1)
     _check("dsytrd_2stage", info)
     return d, e
+
+
+def dsytrd_leading(a, depth: int):
+    """The leading ``depth`` diagonal and ``depth - 1`` off-diagonal entries
+    ``(d, e)`` of the tridiagonal ``dsytrd`` makes of the lower triangle of
+    a Fortran-ordered float64 square array, reducing in place only its
+    columns 0 .. depth-2.
+
+    This is ``dsytrd``'s own blocked loop (``UPLO='L'``), stopped early: a
+    ``dlatrd`` panel, a ``dsyr2k`` update of the trailing lower triangle,
+    the panel's diagonal.  The panel width is ``dsytrd``'s, from its
+    workspace query (``LWORK = n * nb``); the last panel is narrowed to end
+    at column depth-2.  Where ``dsytrd`` itself runs blocked, ``e`` and
+    ``d[:depth-1]`` therefore equal the prefix of its result bit for bit;
+    ``d[depth-1]`` comes from a narrower trailing update and agrees to
+    rounding.  Panels are passed as raw addresses with ``LDA = n``, so the
+    array is checked to be one contiguous Fortran block first.
+    """
+    n = _square_order("dsytrd_leading", a)
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.f_contiguous):
+        raise DomainError("dsytrd_leading needs a Fortran-ordered float64 "
+                          "array")
+    if not (isinstance(depth, (int, np.integer)) and 1 <= depth <= n):
+        raise DomainError(f"depth must be an integer in 1..{n}, got {depth}")
+    columns = depth - 1
+    if not columns:
+        return a.diagonal()[:1].copy(), np.empty(0)
+    n_c, info = _INTEGER(n), _INTEGER(0)
+    e, tau, work = np.empty(columns), np.empty(columns), np.empty(1)
+    _SYTRD(b"L", n_c, a, n_c, np.empty(n), e, tau, work, _INTEGER(-1), info,
+           1)
+    _check("dsytrd", info)
+    nb = int(work[0]) // n
+    # W is n rows by nb (LDW = n), as dsytrd lays out its WORK
+    panel = np.empty(n * nb)
+    minus_one, one = ctypes.c_double(-1.0), ctypes.c_double(1.0)
+
+    def at(row, col):
+        return a.ctypes.data + (row + col * n) * a.itemsize
+
+    for i in range(0, columns, nb):
+        width = min(nb, columns - i)
+        _LATRD(b"L", _INTEGER(n - i), _INTEGER(width), at(i, i), n_c, e[i:],
+               tau[i:], panel, n_c, 1)
+        # A := A - V W^T - W V^T on the trailing lower triangle
+        _SYR2K(b"L", b"N", _INTEGER(n - i - width), _INTEGER(width),
+               minus_one, at(i + width, i), n_c, panel[width:], n_c, one,
+               at(i + width, i + width), n_c, 1, 1)
+    return a.diagonal()[:depth].copy(), e

@@ -223,8 +223,27 @@ def fit_decay_exponent(series, window: tuple,
                      residual_rms=rms, window=(float(t_lo), float(t_hi)))
 
 
+def _fd_bins(data: np.ndarray) -> int:
+    """The bin count of numpy's Freedman-Diaconis rule (``bins="fd"``),
+    with the quartiles by ``np.percentile``'s linear rule, which imports
+    ``numpy.ma`` on its first call."""
+    s = np.sort(data)
+    if s.size == 0:
+        return 1
+
+    def quartile(q: float) -> float:
+        at = (s.size - 1) * q
+        i = int(at)
+        lo, hi, t = s[i], s[min(i + 1, s.size - 1)], at - i
+        # numpy's lerp rounds from the nearer end
+        return lo + (hi - lo) * t if t < 0.5 else hi - (hi - lo) * (1 - t)
+
+    width = 2.0 * (quartile(0.75) - quartile(0.25)) * s.size ** (-1.0 / 3.0)
+    return int(np.ceil((s[-1] - s[0]) / width)) if width else 1
+
+
 def _histogram(data: np.ndarray) -> Histogram:
-    counts, edges = np.histogram(data, bins="fd")
+    counts, edges = np.histogram(data, bins=_fd_bins(data))
     return Histogram(edges=edges, counts=counts)
 
 

@@ -69,7 +69,6 @@ from .hamiltonians import (
 )
 from .matrix_lanczos import (
     householder_hessenberg,
-    lanczos_tridiagonalize,
     reduction_kernel,
 )
 from .models import eval_b2, model_from_dict, moments_of_model
@@ -433,17 +432,11 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
         if depth > dim:
             raise DomainError(f"--K {depth} exceeds the dimension {dim}")
 
-    def coefficients(stream: int) -> LanczosCoefficients:
-        ham, psi0 = member(stream)
-        if depth is None:
-            return householder_hessenberg(ham, psi0)
-        return lanczos_tridiagonalize(ham, psi0, depth)
-
     coefficient_sets, members, averages = [], [], []
     times = None
     for stream in streams:
         try:
-            lc = coefficients(stream)
+            lc = householder_hessenberg(*member(stream), depth)
             if lc.K < 2:
                 raise DomainError(f"member {stream} has Krylov dimension 1; "
                                   "nothing to fit")
@@ -487,7 +480,7 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
     _write_json(out / "fits.json", fits)
     _write_manifest(out, command, config,
                     {"master": seed, "streams": streams}, started,
-                    reduction_kernel(dim) if depth is None else "lanczos")
+                    reduction_kernel(dim, depth))
 
 
 def _cmd_frm(config: dict) -> None:

@@ -145,6 +145,15 @@ def eigendecompose(lc: LanczosCoefficients) -> Spectrum:
     return spectrum
 
 
+def _median(x) -> float:
+    """``np.median`` of a non-empty 1-D array (the mean of the two middle
+    values at even size), without the import of ``numpy.ma`` that
+    ``np.median`` makes on its first call."""
+    s = np.sort(x)
+    m = s.size // 2
+    return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2)
+
+
 def time_grid(values, sigma: float, points, tmax=None, log=True) \
         -> np.ndarray:
     """Ascending grid of ``points`` times for a spectrum of first
@@ -158,7 +167,7 @@ def time_grid(values, sigma: float, points, tmax=None, log=True) \
     if tmax is None:
         gaps = np.diff(values)
         gaps = gaps[gaps > 1e-12 * max(1.0, abs(values).max(initial=0.0))]
-        tmax = (HEISENBERG_MULTIPLE * 2.0 * math.pi / float(np.median(gaps))
+        tmax = (HEISENBERG_MULTIPLE * 2.0 * math.pi / _median(gaps)
                 if gaps.size else 1e3 / sigma)
         if not math.isfinite(tmax):
             raise FloatRangeError("the spectrum sets a grid end beyond the "

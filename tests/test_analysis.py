@@ -179,6 +179,22 @@ def test_histogram_csv(tmp_path):
     assert len(lines) == hist.counts.size + 1
 
 
+@pytest.mark.parametrize("kind", ["normal", "ties", "constant"])
+def test_histograms_match_numpy_fd_rule_bit_for_bit(kind):
+    # the bin count is computed without np.percentile (which imports
+    # numpy.ma); edges and counts must still be numpy's bins="fd" exactly
+    rng = np.random.default_rng(17)
+    for size in (2, 3, 4, 5, 17, 64, 399, 1000):
+        a = {"normal": rng.standard_normal(size) * 7.3,
+             "ties": rng.integers(-3, 4, size).astype(float),
+             "constant": np.full(size, 0.3)}[kind]
+        lc = LanczosCoefficients(a=a, b=np.ones(size - 1), physical=True)
+        hist = coefficient_stats([lc]).hist_a
+        counts, edges = np.histogram(a, bins="fd")
+        assert np.array_equal(hist.edges, edges)
+        assert np.array_equal(hist.counts, counts)
+
+
 def test_plateau_monotone_saturation_ratio_one():
     t = np.geomspace(0.01, 200.0, 400)
     series = make_series(t, 5.0 * (1.0 - np.exp(-t)))

@@ -14,6 +14,7 @@ from scipy.linalg import expm
 from spreadq import DomainError, LanczosCoefficients, NumericalError
 from spreadq.evolution import (
     AVERAGE_COLUMN_SLAB,
+    HEISENBERG_MULTIPLE,
     TIME_SLAB_ROWS,
     KrylovAmplitudes,
     LongTimeAverages,
@@ -181,6 +182,22 @@ def test_time_grid_ends_at_twenty_heisenberg_times():
     assert time_grid(np.array([3.0, 3.0]), 2.0, 5)[-1] == pytest.approx(500.0)
     assert np.array_equal(time_grid(values, 2.0, 3, tmax=4.0, log=False),
                           [0.0, 2.0, 4.0])
+
+
+def test_time_grid_end_uses_numpy_median_bit_for_bit():
+    # the median gap is taken without np.median (which imports numpy.ma);
+    # odd and even gap counts, with and without ties, must match it exactly
+    rng = np.random.default_rng(23)
+    for size in (2, 3, 4, 5, 40, 41, 1000, 1001):
+        for values in (np.sort(rng.standard_normal(size)),
+                       np.sort(rng.integers(0, size // 2 + 2, size) / 3.0)):
+            gaps = np.diff(values)
+            gaps = gaps[gaps > 1e-12 * max(1.0, np.abs(values).max())]
+            if not gaps.size:
+                continue
+            expected = HEISENBERG_MULTIPLE * 2.0 * math.pi \
+                / float(np.median(gaps))
+            assert time_grid(values, 1.0, 2, log=False)[-1] == expected
 
 
 @pytest.mark.parametrize("points, tmax, log, message", [

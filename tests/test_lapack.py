@@ -6,7 +6,9 @@ OpenBLAS numpy links (ILP64 symbols, 64-bit integer arguments), while
 ``dstevd``, ``dstebz`` and ``dsytrd`` are called with the arguments scipy
 passes, so their results must equal ``eigh_tridiagonal``,
 ``eigvalsh_tridiagonal(select="i")`` and ``lapack.dsytrd`` with the
-optimal ``lwork`` exactly, not just to a tolerance.
+optimal ``lwork`` exactly, not just to a tolerance.  ``dsytrd_leading``
+runs the same blocked loop as ``lapack.dsytrd``, stopped early, so where
+that loop is blocked its prefix must be bit-equal too.
 """
 import numpy as np
 import pytest
@@ -58,7 +60,50 @@ def test_dsytrd_equals_scipy_dsytrd_with_optimal_lwork(n):
     assert np.array_equal(e, expected_e)
 
 
-@pytest.mark.parametrize("reduction", [_lapack.dsytrd, _lapack.dsytrd_2stage])
+def blocked_columns(n, nb):
+    """Columns ``lapack.dsytrd`` reduces in its blocked loop: panels of nb
+    while more than nx columns remain, with reference LAPACK's crossover
+    nx = max(nb, ILAENV(3, 'DSYTRD')) = nb = 32; none at n <= nb."""
+    return nb * -(-(n - nb) // nb) if n > nb else 0
+
+
+@pytest.mark.parametrize("n", [K for K in ORDERS if K >= 2] + [64, 1000])
+def test_dsytrd_leading_is_the_prefix_of_scipy_dsytrd(n):
+    rng = np.random.default_rng(20261020 + n)
+    raw = rng.standard_normal((n, n))
+    ham = (raw + raw.T) / 2
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    _, full_d, full_e, _, info = lapack.dsytrd(ham, lower=1, lwork=lwork)
+    assert info == 0
+    blocked = blocked_columns(n, lwork // n)
+    tol = 1e-14 * np.max(np.abs(np.linalg.eigvalsh(ham)))
+    depths = {1, 2, 3, 20, 33, n // 2, blocked, blocked + 1, n - 1, n}
+    for depth in sorted(K for K in depths if 1 <= K <= n):
+        a = np.array(ham, order="F")
+        d, e = _lapack.dsytrd_leading(a, depth)
+        assert d.shape == (depth,) and e.shape == (depth - 1,)
+        if depth - 1 <= blocked:
+            assert np.array_equal(e, full_e[:depth - 1])
+            assert np.array_equal(d[:-1], full_d[:depth - 1])
+        # the last a_n, and every entry past the blocked loop, to rounding
+        np.testing.assert_allclose(d, full_d[:depth], rtol=0, atol=tol)
+        np.testing.assert_allclose(e, full_e[:depth - 1], rtol=0, atol=tol)
+
+
+def test_dsytrd_leading_checks_its_array_and_depth():
+    ham = np.eye(4, order="F")
+    for bad in (np.eye(4, order="C"), np.eye(4, dtype=np.float32, order="F"),
+                np.eye(8, order="F")[::2, ::2]):
+        with pytest.raises(DomainError, match="Fortran-ordered float64"):
+            _lapack.dsytrd_leading(bad, 2)
+    for depth in (0, 5, 2.0):
+        with pytest.raises(DomainError, match="depth"):
+            _lapack.dsytrd_leading(ham, depth)
+
+
+@pytest.mark.parametrize("reduction", [
+    _lapack.dsytrd, _lapack.dsytrd_2stage,
+    lambda a: _lapack.dsytrd_leading(a, 1)])
 def test_reductions_need_a_square_array_of_order_two(reduction):
     for shape in ((1, 1), (3, 2)):
         with pytest.raises(DomainError, match="square array"):
@@ -119,6 +164,14 @@ def test_nonzero_info_raises_lapack_error(monkeypatch, routine, call):
                         failing_routine(INFO_ARGUMENT[routine]))
     with pytest.raises(LapackError, match="info=2"):
         call()
+
+
+def test_dsytrd_leading_raises_on_a_failed_workspace_query(monkeypatch):
+    # the panel width comes from dsytrd's workspace query
+    monkeypatch.setattr(_lapack, "_SYTRD",
+                        failing_routine(INFO_ARGUMENT["_SYTRD"]))
+    with pytest.raises(LapackError, match="dsytrd failed with info=2"):
+        _lapack.dsytrd_leading(np.eye(4, order="F"), 3)
 
 
 @pytest.mark.parametrize("routine, name", [("_STEVD", "dstevd"),

@@ -6,6 +6,9 @@ implementations against each other.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 from scipy.linalg import lapack
 
 from spreadq import (
@@ -170,12 +173,20 @@ def test_block_decoupling_truncates_both_paths(norm_estimates):
     lc_h = householder_hessenberg(ham, psi0)
     assert lc_h.K == 3
     np.testing.assert_allclose(lc_h.b, lc.b, atol=1e-12)
+    # a partial reduction has no full T, so it estimates ||H|| as Lanczos does
+    lc_p = householder_hessenberg(ham, psi0, 4)
+    assert lc_p.K == 3
+    assert norm_estimates == [(5, 5), (5, 5)]
+    np.testing.assert_allclose(lc_p.a, lc.a, atol=1e-12)
+    np.testing.assert_allclose(lc_p.b, lc.b, atol=1e-12)
 
 
 def test_lanczos_without_small_residual_skips_norm_estimate(norm_estimates):
     ham, psi0 = random_symmetric(64, seed=5)
     lc = lanczos_tridiagonalize(ham, psi0, 20)
     assert lc.K == 20
+    lc_p = householder_hessenberg(ham, psi0, 20)
+    assert lc_p.K == 20
     assert norm_estimates == []
 
 
@@ -208,6 +219,9 @@ def test_input_validation():
         lanczos_tridiagonalize(ham, psi0, 7)
     with pytest.raises(DomainError):
         lanczos_tridiagonalize(ham, psi0, 0)
+    for depth in (0, 7, 2.5):
+        with pytest.raises(DomainError, match="K"):
+            householder_hessenberg(ham, psi0, depth)
     with pytest.raises(DomainError):
         lanczos_tridiagonalize(ham, np.array([1.0, 0.0]), 2)
     for complex_pair in ((ham, psi0.astype(complex)),
@@ -267,7 +281,9 @@ def test_householder_leaves_caller_matrix_untouched(order, start_kind):
     start = {"e0": unit_vector(50, 0), "ej": unit_vector(50, 9),
              "general": general}[start_kind]
     before = ham.copy()
+    # at full depth and at a partial one
     householder_hessenberg(ham, start)
+    householder_hessenberg(ham, start, 20)
     assert np.array_equal(ham, before)
 
 
@@ -278,6 +294,11 @@ def test_reduction_kernel_switches_at_the_crossover_order():
     # frm at N = 1000 and the L = 14 chain (n = 3432) fall on either side
     assert reduction_kernel(1000) == "dsytrd"
     assert reduction_kernel(3432) == "dsytrd_2stage"
+    # a depth below the order takes the partial reduction at any order
+    assert reduction_kernel(1000, 200) == "dsytrd_leading"
+    assert reduction_kernel(3432, 3431) == "dsytrd_leading"
+    assert reduction_kernel(1000, 1000) == "dsytrd"
+    assert reduction_kernel(3432, 3432) == "dsytrd_2stage"
 
 
 @pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
@@ -343,3 +364,91 @@ def test_householder_matches_exact_references(reduction, n, start_kind):
     np.testing.assert_allclose(np.linalg.eigvalsh(tri),
                                np.linalg.eigvalsh(ham), rtol=0,
                                atol=1e-10 * norm)
+
+
+def symmetric_and_start():
+    """A small sparse symmetric integer H, its leading block decoupled from
+    the rest in some draws (so exact decouplings and degenerate levels turn
+    up), a unit start vector (a signed basis vector or a general one) and a
+    depth in 1..n, drawn uniformly."""
+    def build(n):
+        entries = st.lists(st.sampled_from([0] * 6 + [1, -1, 2, -3]),
+                           min_size=n * n, max_size=n * n) \
+            .map(lambda v: np.reshape(v, (n, n)))
+        blocks = st.sampled_from(range(1, n + 1))
+        basis = st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1])) \
+            .map(lambda js: js[1] * unit_vector(n, js[0]))
+        general = st.lists(st.integers(-3, 3), min_size=n, max_size=n) \
+            .filter(any).map(lambda v: np.array(v) / np.linalg.norm(v))
+        return st.tuples(entries, blocks, st.one_of(basis, general),
+                         st.sampled_from(range(1, n + 1))).map(
+            lambda t: (split(t[0] + t[0].T, t[1]) / 2.0, t[2], t[3]))
+    return st.integers(1, 12).flatmap(build)
+
+
+def split(ham, m):
+    """``ham`` with rows and columns 0..m-1 decoupled from the rest."""
+    ham = ham.copy()
+    ham[:m, m:] = ham[m:, :m] = 0
+    return ham
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(symmetric_and_start())
+def test_partial_householder_against_moments_and_lanczos(case):
+    ham, start, depth = case
+    lc = householder_hessenberg(ham, start, depth)
+    assert 1 <= lc.K <= depth
+    norm = np.max(np.abs(np.linalg.eigvalsh(ham))) or 1.0
+    # (T^k)_00 = <psi|H^k|psi> for k <= 2 depth - 1: exact while T is the
+    # whole Krylov block, and past a cut (b_n <= 1e-12 ||H||) to rounding
+    tri = (np.diag(lc.a) + np.diag(lc.b, 1) + np.diag(lc.b, -1)) / norm
+    scaled = ham / norm
+    t_vec, h_vec = unit_vector(lc.K, 0), start.copy()
+    for _ in range(2 * depth - 1):
+        t_vec, h_vec = tri @ t_vec, scaled @ h_vec
+        assert abs(t_vec[0] - start @ h_vec) <= 1e-10
+    # with every b_n well above rounding the Krylov space is well
+    # conditioned, and the independent Lanczos recursion must agree
+    lc_l = lanczos_tridiagonalize(ham, start, depth)
+    if lc.K == lc_l.K == depth and lc.b.min(initial=norm) > 1e-3 * norm:
+        np.testing.assert_allclose(lc.a, lc_l.a, rtol=0, atol=1e-10 * norm)
+        np.testing.assert_allclose(lc.b, lc_l.b, rtol=0, atol=1e-10 * norm)
+
+
+def test_partial_householder_follows_the_goe_coefficient_law():
+    """GOE (H = (A + A^T)/2) from e1: the a_n are N(0, 1) and the
+    2 b_n^2 are chi-squared with N - n degrees of freedom, all independent
+    (Dumitriu & Edelman, J. Math. Phys. 43, 5830 (2002)).
+
+    Pooled over the M members, each of 3K - 1 statistics has an exact law:
+    sqrt(M) mean(a_n) ~ N(0, 1), sum a_n^2 ~ chi^2_M and
+    sum 2 b_n^2 ~ chi^2_(M (N - n)).  Each two-sided p-value must exceed
+    the Bonferroni threshold 1e-3 / (3K - 1).  K = 36 spans two panels of
+    ``dsytrd``'s width 32.  The members are seeded, so the outcome is
+    fixed; a kernel that skipped a column or a trailing update fails by
+    many standard deviations.
+    """
+    dim, depth, members = 40, 36, 2000
+    e1 = unit_vector(dim, 0)
+    a, b = [], []
+    for stream in range(members):
+        lc = householder_hessenberg(sample_goe(dim, 2026, stream=stream).H,
+                                    e1, depth)
+        assert lc.K == depth
+        a.append(lc.a)
+        b.append(lc.b)
+    a, b = np.array(a), np.array(b)
+    p_values = []
+    for n in range(depth):
+        z = np.sqrt(members) * a[:, n].mean()
+        p_values.append(2 * stats.norm.sf(abs(z)))
+        law = stats.chi2(members)
+        square = np.sum(a[:, n] ** 2)
+        p_values.append(2 * min(law.cdf(square), law.sf(square)))
+    for n in range(1, depth):
+        law = stats.chi2(members * (dim - n))
+        total = np.sum(2 * b[:, n - 1] ** 2)
+        p_values.append(2 * min(law.cdf(total), law.sf(total)))
+    assert len(p_values) == 3 * depth - 1
+    assert min(p_values) > 1e-3 / len(p_values)
