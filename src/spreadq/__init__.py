@@ -17,7 +17,6 @@ from .errors import (
     WindowError,
 )
 from .models import (
-    FrmSurvival,
     GaussianAutocorr,
     InterpolationAutocorr,
     LdosSummary,
@@ -66,7 +65,6 @@ from .evolution import (
 from .analysis import (
     EnsembleSeries,
     FitResult,
-    Histogram,
     RegimeStats,
     coefficient_stats,
     detect_peak_plateau,

@@ -50,29 +50,13 @@ class FitResult:
 
 
 @dataclass(frozen=True)
-class Histogram:
-    """Counts over contiguous Freedman-Diaconis bins; CSV schema
-    bin_lo,bin_hi,count."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("bin_lo,bin_hi,count\n")
-            for lo, hi, c in zip(self.edges[:-1], self.edges[1:],
-                                 self.counts):
-                fh.write(f"{lo:.17g},{hi:.17g},{int(c)}\n")
-
-
-@dataclass(frozen=True)
 class RegimeStats:
-    """Coefficient statistics of the realizations of one run."""
+    """Coefficient statistics of one run; each histogram is (counts, edges)."""
 
     var_a: float
     var_b: float
-    hist_a: Histogram
-    hist_b: Histogram
+    hist_a: tuple
+    hist_b: tuple
     realizations: int
 
 
@@ -242,11 +226,6 @@ def _fd_bins(data: np.ndarray) -> int:
     return int(np.ceil((s[-1] - s[0]) / width)) if width else 1
 
 
-def _histogram(data: np.ndarray) -> Histogram:
-    counts, edges = np.histogram(data, bins=_fd_bins(data))
-    return Histogram(edges=edges, counts=counts)
-
-
 def coefficient_stats(lc_list) -> RegimeStats:
     """Variance and histograms of the pooled {a_n} and {b_n} of a list of
     LanczosCoefficients realizations.
@@ -261,7 +240,8 @@ def coefficient_stats(lc_list) -> RegimeStats:
     return RegimeStats(
         var_a=float(np.mean([np.var(lc.a) for lc in lc_list])),
         var_b=float(np.mean([np.var(lc.b) for lc in lc_list])),
-        hist_a=_histogram(pooled_a), hist_b=_histogram(pooled_b),
+        hist_a=np.histogram(pooled_a, bins=_fd_bins(pooled_a)),
+        hist_b=np.histogram(pooled_b, bins=_fd_bins(pooled_b)),
         realizations=len(lc_list))
 
 

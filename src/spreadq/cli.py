@@ -20,6 +20,10 @@ Identical resolved config and seed give byte-identical data files.
 ``manifest.json`` (config hash, seeds, package versions, wall time and, for
 ``frm`` and ``spin``, the tridiagonalization kernel) is the only file exempt
 from byte identity.
+
+Every CSV table goes through ``_write_table`` and ``_read_table``: a
+``*_HEADER`` line, then one row per index of ``.17g`` values (integers print
+as integers), all lines ending in LF; the reader also takes CRLF.
 """
 
 from __future__ import annotations
@@ -78,6 +82,11 @@ from .moment_lanczos import (
     moments_to_lanczos,
 )
 
+COEFFS_HEADER = "n,a_n,b_n"
+SERIES_HEADER = "t,C,F"
+ENSEMBLE_HEADER = "t,C,F,C_stderr,F_stderr"
+HISTOGRAM_HEADER = "bin_lo,bin_hi,count"
+B2_HEADER = "t,B2"
 AMPLITUDE_VARIANTS = ("gaussian", "semicircle", "interpolation",
                       "truncated_quadratic")
 FIT_KINDS = ("power", "linear", "goe", "decay")
@@ -290,12 +299,31 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_ensemble_csv(path: Path, ens) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,C,F,C_stderr,F_stderr\n")
-        for row in zip(ens.times, ens.mean_C, ens.mean_F,
-                       ens.stderr_C, ens.stderr_F):
+def _write_table(path: Path, header: str, *columns) -> None:
+    """``header``, then row i of ``columns`` per line, as ``.17g`` values."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _read_table(path: str, header: str) -> np.ndarray:
+    """The rows of a ``header`` table; ``DomainError`` names a bad file."""
+    try:
+        with open(path) as fh:
+            if fh.readline().strip() != header:
+                raise DomainError(f"{path}: expected the header {header}")
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"{path}: not a readable {header} table ({exc})")
+    if table.shape[1] != header.count(",") + 1:
+        raise DomainError(f"{path}: {table.shape[1]} columns, not {header}")
+    return table
+
+
+def _coeff_columns(lc: LanczosCoefficients) -> tuple:
+    """The ``n,a_n,b_n`` columns of ``lc`` (b_0 written as 0)."""
+    return np.arange(lc.K), lc.a, np.append(0.0, lc.b)
 
 
 def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
@@ -381,10 +409,11 @@ def _cmd_model(config: dict) -> None:
         raise FloatRangeError(f"{flags}: {exc}") from exc
 
     out = _out_dir(config)
-    lc.to_csv(out / "coeffs.csv")
+    _write_table(out / "coeffs.csv", COEFFS_HEADER, *_coeff_columns(lc))
     fits: dict = {"depth": lc.K, "physical": lc.physical}
     if lc.physical:
-        series.to_csv(out / "series.csv")
+        _write_table(out / "series.csv", SERIES_HEADER, series.times,
+                     series.C, series.F)
         _write_json(out / "averages.json",
                     {"C_bar": avg.c_bar, "F_bar": avg.f_bar, "K": lc.K})
         fits["b1"] = float(lc.b[0]) if lc.K > 1 else None
@@ -454,16 +483,20 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
     ens = ensemble_average(members)
 
     out = _out_dir(config)
-    for stream in streams:
-        coefficient_sets[stream].to_csv(out / f"coeffs_{stream:04d}.csv")
-        members[stream].to_csv(out / f"series_{stream:04d}.csv")
+    for stream, (lc, series) in enumerate(zip(coefficient_sets, members)):
+        _write_table(out / f"coeffs_{stream:04d}.csv", COEFFS_HEADER,
+                     *_coeff_columns(lc))
+        _write_table(out / f"series_{stream:04d}.csv", SERIES_HEADER,
+                     series.times, series.C, series.F)
 
     depth_min = min(lc.K for lc in coefficient_sets)
     mean_lc = LanczosCoefficients(
         np.mean([lc.a[:depth_min] for lc in coefficient_sets], axis=0),
         np.mean([lc.b[:depth_min - 1] for lc in coefficient_sets], axis=0))
-    mean_lc.to_csv(out / "coeffs_mean.csv")
-    _write_ensemble_csv(out / "ensemble.csv", ens)
+    _write_table(out / "coeffs_mean.csv", COEFFS_HEADER,
+                 *_coeff_columns(mean_lc))
+    _write_table(out / "ensemble.csv", ENSEMBLE_HEADER, ens.times,
+                 ens.mean_C, ens.mean_F, ens.stderr_C, ens.stderr_F)
 
     mean_series = SpreadComplexitySeries(times=ens.times, C=ens.mean_C,
                                          F=ens.mean_F)
@@ -526,8 +559,9 @@ def _cmd_spin(config: dict) -> None:
 
     def histograms(out, coefficient_sets, mean_lc) -> dict:
         stats = coefficient_stats(coefficient_sets)
-        stats.hist_a.to_csv(out / "hist_a.csv")
-        stats.hist_b.to_csv(out / "hist_b.csv")
+        for x, (counts, edges) in (("a", stats.hist_a), ("b", stats.hist_b)):
+            _write_table(out / f"hist_{x}.csv", HISTOGRAM_HEADER, edges[:-1],
+                         edges[1:], counts)
         _write_json(out / "variances.json", {
             "var_a": stats.var_a,
             "var_b": stats.var_b,
@@ -546,18 +580,6 @@ def _cmd_spin(config: dict) -> None:
                    "out": str(sub_out)})
 
 
-def _load_series_csv(path: str):
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError:
-        raise DomainError(f"series file not found: {path}")
-    except ValueError as exc:
-        raise DomainError(f"{path}: not a t,C,F table ({exc})")
-    if data.shape[1] != 3:
-        raise DomainError(f"{path}: expected 3 columns, got {data.shape[1]}")
-    return data[:, 0], data[:, 1], data[:, 2]
-
-
 def _cmd_fit(config: dict) -> None:
     started = time.perf_counter()
     kind = _require(config, "kind", "--kind")
@@ -572,14 +594,18 @@ def _cmd_fit(config: dict) -> None:
             raise DomainError("--kind decay fits a --series file")
         if window is None:
             raise DomainError("--kind decay needs --window T_LO T_HI")
-        t, _, f = _load_series_csv(config["series"])
+        t, _, f = _read_table(config["series"], SERIES_HEADER).T
         result = fit_decay_exponent((t, f), window=window,
                                     envelope=config["envelope"])
         source = config["series"]
     else:
         if config["coeffs"] is None:
             raise DomainError(f"--kind {kind} fits a --coeffs file")
-        lc = LanczosCoefficients.from_csv(config["coeffs"])
+        table = _read_table(config["coeffs"], COEFFS_HEADER)
+        try:
+            lc = LanczosCoefficients(table[:, 1], table[1:, 2])
+        except DomainError as exc:
+            raise DomainError(f"{config['coeffs']}: {exc}") from exc
         if kind == "power":
             result = fit_bn_power(lc, window=window)
         elif kind == "linear":
@@ -614,10 +640,7 @@ def _cmd_b2_table(config: dict) -> None:
     values = eval_b2(np.asarray(times))
 
     out = _out_dir(config)
-    with open(out / "b2.csv", "w") as fh:
-        fh.write("t,B2\n")
-        for t, v in zip(times, np.atleast_1d(values)):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+    _write_table(out / "b2.csv", B2_HEADER, times, values)
     _write_manifest(out, "b2-table", config,
                     {"master": None, "streams": []}, started)
 

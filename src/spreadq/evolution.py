@@ -28,7 +28,8 @@ series bit for bit at K=1000 and K=3432.  A byte rule, such as 2 MiB,
 would give 75-row slabs at K=3432.
 
 Infinite-time averages use the eigenbasis overlaps.  Eigenvalues closer
-than 1e-12 (relative) are merged into degenerate blocks first; the plain
+than 1e-12 max|lambda| are merged into degenerate blocks first, with no
+absolute floor, so T and c T give the same averages; the plain
 sum-over-levels formula silently assumes a non-degenerate spectrum and
 overestimates dephasing inside a block.  Single levels contribute
 sum_k (U_nk U_0k)^2, summed over slabs of contiguous eigenvector columns so
@@ -107,12 +108,6 @@ class SpreadComplexitySeries:
         self.C = np.maximum(self.C, 0.0)
         self.F = np.clip(self.F, 0.0, 1.0)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,C,F\n")
-            for t, c, f in zip(self.times, self.C, self.F):
-                fh.write(f"{t:.17g},{c:.17g},{f:.17g}\n")
-
 
 @dataclass(frozen=True)
 class LongTimeAverages:
@@ -161,12 +156,12 @@ def time_grid(values, sigma: float, points, tmax=None, log=True) \
 
     A log grid runs from 1e-2/sigma, a linear one from 0.  Without ``tmax``
     it ends at HEISENBERG_MULTIPLE Heisenberg times 2 pi / (median level
-    gap), over the gaps above 1e-12 of the spectral scale; with no such
-    gap, at 1e3/sigma.
+    gap), over the gaps above DEGENERACY_RTOL times max|values|; with no
+    such gap, at 1e3/sigma.
     """
     if tmax is None:
         gaps = np.diff(values)
-        gaps = gaps[gaps > 1e-12 * max(1.0, abs(values).max(initial=0.0))]
+        gaps = gaps[gaps > DEGENERACY_RTOL * abs(values).max(initial=0.0)]
         tmax = (HEISENBERG_MULTIPLE * 2.0 * math.pi / _median(gaps)
                 if gaps.size else 1e3 / sigma)
         if not math.isfinite(tmax):
@@ -253,9 +248,8 @@ def spread_series(source, times) -> SpreadComplexitySeries:
 
 
 def _degenerate_block_starts(lam: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(lam))))
     gaps = np.diff(lam)
-    boundaries = np.nonzero(gaps > DEGENERACY_RTOL * scale)[0]
+    boundaries = np.nonzero(gaps > DEGENERACY_RTOL * np.abs(lam).max())[0]
     return np.concatenate([[0], boundaries + 1])
 
 

@@ -17,17 +17,16 @@ state directly (all normalized, ``S(0) = 1``):
 * ``SemicircleAutocorr(alpha)``:       ``S(t) = J_1(2 alpha t) / (alpha t)``,
   the semicircle density on ``[-2 alpha, 2 alpha]`` (Catalan moments).
 
-One *survival probability* model describes an ensemble-averaged fidelity
-``F(t) = |S(t)|^2`` including spectral-correlation effects:
-
-* ``FrmSurvival(dim)``: full random matrices of the orthogonal ensemble,
+``eval_frm_sp(dim, t)`` gives an ensemble-averaged fidelity
+``F(t) = |S(t)|^2`` including spectral-correlation effects, for full random
+matrices of the orthogonal ensemble:
 
       <F(t)> = (1-Fbar)/(dim-1) * [4 dim J_1(eta t)^2/(eta t)^2
                                    - B_2(eta t/(4 dim))] + Fbar,
 
-  with ``eta = sqrt(2 dim)`` (semicircle radius) and saturation
-  ``Fbar = 3/(dim+2)``.  ``B_2`` is the two-level form factor of the
-  orthogonal ensemble; it carves the correlation hole below ``Fbar``.
+with ``eta = sqrt(2 dim)`` (semicircle radius) and saturation
+``Fbar = 3/(dim+2)``.  ``B_2`` is the two-level form factor of the
+orthogonal ensemble; it carves the correlation hole below ``Fbar``.
 
 ``moments_of_model`` returns the power moments of the implied density as
 exact rationals in the model's binary parameters.  For the interpolation
@@ -88,35 +87,14 @@ class SemicircleAutocorr:
         _require_positive("alpha", self.alpha)
 
 
-@dataclass(frozen=True)
-class FrmSurvival:
-    dim: int
-
-    def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
-            raise DomainError(f"dim must be an integer >= 2, got {self.dim}")
-
-    @property
-    def fbar(self) -> float:
-        """Infinite-time average of the survival probability."""
-        return 3.0 / (self.dim + 2)
-
-    @property
-    def eta(self) -> float:
-        """Semicircle radius sqrt(2 dim) of the matched spectral density."""
-        return math.sqrt(2.0 * self.dim)
-
-
 AmplitudeModel = Union[GaussianAutocorr, TruncatedQuadraticAutocorr,
                        InterpolationAutocorr, SemicircleAutocorr]
-AutocorrModel = Union[AmplitudeModel, FrmSurvival]
 
 _VARIANTS = {
     "gaussian": GaussianAutocorr,
     "truncated_quadratic": TruncatedQuadraticAutocorr,
     "interpolation": InterpolationAutocorr,
     "semicircle": SemicircleAutocorr,
-    "frm": FrmSurvival,
 }
 
 
@@ -163,11 +141,8 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
 
 
 def eval_autocorr(model: AmplitudeModel, t):
-    """Return amplitude S(t) of an amplitude model (scalar or array t).
-
-    Survival-probability models carry no amplitude and are rejected with
-    ``VariantError``; use ``eval_frm_sp`` for those.
-    """
+    """Return amplitude S(t) of an amplitude model (scalar or array t);
+    any other object raises ``VariantError``."""
     arr, scalar = _time_array(t)
     if isinstance(model, GaussianAutocorr):
         out = np.exp(-0.5 * model.sigma0**2 * arr**2)
@@ -180,10 +155,6 @@ def eval_autocorr(model: AmplitudeModel, t):
                      - 0.5 * np.sqrt(g2 * g2 / (4.0 * s2 * s2) + g2 * arr**2))
     elif isinstance(model, SemicircleAutocorr):
         out = 2.0 * _j1_over_x(2.0 * model.alpha * arr)
-    elif isinstance(model, FrmSurvival):
-        raise VariantError(
-            f"{type(model).__name__} is a survival-probability model; "
-            "it has no return amplitude")
     else:
         raise VariantError(f"unknown model type {type(model).__name__}")
     return _restore(out, scalar)
@@ -219,16 +190,17 @@ def eval_frm_sp(dim: int, t, include_form_factor: bool = True):
     never dips below its own infinite-time limit (no correlation hole).
     ``F(0) = 1`` exactly and ``F(t) -> 3/(dim+2)`` as ``t -> infinity``.
     """
-    model = dim if isinstance(dim, FrmSurvival) else FrmSurvival(int(dim))
+    if not isinstance(dim, (int, np.integer)) or dim < 2:
+        raise DomainError(f"dim must be an integer >= 2, got {dim}")
     arr, scalar = _time_array(t, nonnegative=True)
-    x = model.eta * arr
-    bessel = 4.0 * model.dim * _j1_over_x(x) ** 2
+    x = math.sqrt(2.0 * dim) * arr
+    bessel = 4.0 * dim * _j1_over_x(x) ** 2
     if include_form_factor:
-        bracket = bessel - eval_b2(x / (4.0 * model.dim))
+        bracket = bessel - eval_b2(x / (4.0 * dim))
     else:
         bracket = bessel - 0.0 * arr
-    fbar = model.fbar
-    out = (1.0 - fbar) * (bracket / (model.dim - 1)) + fbar
+    fbar = 3.0 / (dim + 2)
+    out = (1.0 - fbar) * (bracket / (dim - 1)) + fbar
     return _restore(out, scalar)
 
 
@@ -287,8 +259,8 @@ def moments_of_model(model: AmplitudeModel, order: int) -> MomentSequence:
     ``precision_bits=None`` (exact ``Fraction`` recursion in
     ``moments_to_lanczos``); the interpolation sequence carries 128, which
     sends it through the ``mpmath`` recursion, whose working precision
-    ``moments_to_lanczos`` sets.  Survival-probability models have no
-    single implied density and raise ``VariantError``.
+    ``moments_to_lanczos`` sets.  Any other object raises
+    ``VariantError``.
     """
     if not isinstance(order, (int, np.integer)) or order < 2 or order % 2:
         raise DomainError(f"order must be an even integer >= 2, got {order}")
@@ -312,12 +284,10 @@ def moments_of_model(model: AmplitudeModel, order: int) -> MomentSequence:
         return MomentSequence(tuple(values), precision_bits=None)
     if isinstance(model, InterpolationAutocorr):
         return _interpolation_moments(model, order)
-    raise VariantError(
-        f"{type(model).__name__} does not define moments of a single "
-        "density; only amplitude models do")
+    raise VariantError(f"unknown model type {type(model).__name__}")
 
 
-def model_from_dict(data: dict) -> AutocorrModel:
+def model_from_dict(data: dict) -> AmplitudeModel:
     """The model named by ``data["variant"]``, with the remaining keys as
     its parameters; unknown variants or keys are rejected."""
     if "variant" not in data:

@@ -33,7 +33,6 @@ what guarantees real coefficients.  A sequence that fails the check is
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -49,8 +48,8 @@ from .errors import (
     PrecisionError,
 )
 
-# Relative threshold below which b_n^2 is declared an exact Krylov
-# exhaustion rather than a genuine coefficient (floating path only).
+# Below this fraction of the moments' own scale, with no absolute floor,
+# b_n^2 is an exact Krylov exhaustion, not a coefficient (floating path).
 EXHAUSTION_RTOL = 1e-24
 
 # Hard ceiling for the automatic precision escalation.
@@ -132,33 +131,6 @@ class LanczosCoefficients:
         """Krylov dimension represented by these coefficients."""
         return len(self.a)
 
-    def to_csv(self, path) -> None:
-        """Write rows ``n,a_n,b_n`` (b_0 written as 0 by convention)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "a_n", "b_n"])
-            for n in range(self.K):
-                bn = 0.0 if n == 0 else self.b[n - 1]
-                writer.writerow([n, f"{self.a[n]:.17g}", f"{bn:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "LanczosCoefficients":
-        """Read rows ``n,a_n,b_n`` as ``to_csv`` writes them; a missing
-        file or one that is not such a table raises ``DomainError``."""
-        try:
-            with open(path, newline="") as fh:
-                rows = list(csv.reader(fh))
-        except OSError:
-            raise DomainError(f"coefficient file not found: {path}")
-        if not rows or [h.strip() for h in rows[0]] != ["n", "a_n", "b_n"]:
-            raise DomainError(f"{path}: expected the header n,a_n,b_n")
-        try:
-            return cls(np.array([float(row[1]) for row in rows[1:]]),
-                       np.array([float(row[2]) for row in rows[1:]
-                                 if int(row[0]) > 0]))
-        except (ValueError, IndexError) as exc:
-            raise DomainError(f"{path}: not an n,a_n,b_n table ({exc})")
-
 
 def _recursion(mu, K: int, formal: bool, exact: bool):
     """One pass of the auxiliary L/M recursion in the arithmetic of ``mu``.
@@ -187,7 +159,7 @@ def _recursion(mu, K: int, formal: bool, exact: bool):
             exhausted = b2_n == 0
             negative = b2_n < 0
         else:
-            thr = EXHAUSTION_RTOL * max(scale, mpmath.mpf("1e-300"))
+            thr = EXHAUSTION_RTOL * scale
             exhausted = abs(b2_n) <= thr
             negative = b2_n < -thr
         if negative and not formal:

@@ -7,7 +7,7 @@ where full ensembles are generated.
 import numpy as np
 import pytest
 
-from spreadq import LanczosCoefficients
+from spreadq import LanczosCoefficients, cli
 from spreadq.analysis import (
     EnsembleSeries,
     FitResult,
@@ -167,16 +167,21 @@ def test_coefficient_stats_known_variance():
 def test_histogram_csv(tmp_path):
     lc = LanczosCoefficients(a=np.linspace(-1, 1, 200),
                              b=np.linspace(0.5, 1.5, 199), physical=True)
-    hist = coefficient_stats([lc]).hist_a
-    assert hist.counts.sum() == 200
+    counts, edges = coefficient_stats([lc]).hist_a
+    assert counts.sum() == 200
     # Freedman-Diaconis bins
-    np.testing.assert_array_equal(hist.edges,
+    np.testing.assert_array_equal(edges,
                                   np.histogram_bin_edges(lc.a, bins="fd"))
     path = tmp_path / "hist.csv"
-    hist.to_csv(path)
+    cli._write_table(path, cli.HISTOGRAM_HEADER, edges[:-1], edges[1:],
+                     counts)
     lines = path.read_text().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
-    assert len(lines) == hist.counts.size + 1
+    assert len(lines) == counts.size + 1
+    back = cli._read_table(path, cli.HISTOGRAM_HEADER)
+    np.testing.assert_array_equal(back[:, 0], edges[:-1])
+    np.testing.assert_array_equal(back[:, 1], edges[1:])
+    np.testing.assert_array_equal(back[:, 2], counts)
 
 
 @pytest.mark.parametrize("kind", ["normal", "ties", "constant"])
@@ -189,10 +194,10 @@ def test_histograms_match_numpy_fd_rule_bit_for_bit(kind):
              "ties": rng.integers(-3, 4, size).astype(float),
              "constant": np.full(size, 0.3)}[kind]
         lc = LanczosCoefficients(a=a, b=np.ones(size - 1), physical=True)
-        hist = coefficient_stats([lc]).hist_a
+        hist_counts, hist_edges = coefficient_stats([lc]).hist_a
         counts, edges = np.histogram(a, bins="fd")
-        assert np.array_equal(hist.edges, edges)
-        assert np.array_equal(hist.counts, counts)
+        assert np.array_equal(hist_edges, edges)
+        assert np.array_equal(hist_counts, counts)
 
 
 def test_plateau_monotone_saturation_ratio_one():

@@ -273,6 +273,42 @@ def test_fit_malformed_coefficient_file_exits_2(tmp_path, capsys, table):
     assert not out.exists()
 
 
+def test_fit_reads_crlf_coefficients_like_lf(tmp_path, monkeypatch):
+    # earlier versions wrote coeffs*.csv with CRLF line ends
+    lc = LanczosCoefficients(np.zeros(20), np.sqrt(np.arange(1.0, 20.0)))
+    fits = {}
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        run = tmp_path / name
+        run.mkdir()
+        spreadq.cli._write_table(run / "coeffs.csv",
+                                 spreadq.cli.COEFFS_HEADER,
+                                 *spreadq.cli._coeff_columns(lc))
+        lines = (run / "coeffs.csv").read_text().splitlines()
+        (run / "coeffs.csv").write_bytes(
+            "".join(line + newline for line in lines).encode())
+        monkeypatch.chdir(run)
+        assert spreadq.cli.main(["fit", "--coeffs", "coeffs.csv", "--kind",
+                                 "power", "--out", "fit"]) == 0
+        fits[name] = (run / "fit" / "fits.json").read_bytes()
+    assert b"\r" in (tmp_path / "crlf" / "coeffs.csv").read_bytes()
+    assert fits["crlf"] == fits["lf"]
+
+
+@pytest.mark.parametrize("header", ["t,C\n", "t,F,C\n", "0.5,0,1\n"])
+def test_fit_series_needs_its_header(tmp_path, capsys, header):
+    series = tmp_path / "series.csv"
+    t = np.geomspace(0.5, 50.0, 200)
+    series.write_text(header + "".join(f"{ti},0.0,{ti ** -2.0}\n"
+                                       for ti in t))
+    out = tmp_path / "never"
+    assert spreadq.cli.main(["fit", "--series", str(series), "--kind",
+                             "decay", "--window", "2", "40",
+                             "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(series) in err and "t,C,F" in err
+    assert not out.exists()
+
+
 def test_b2_table_default_values(tmp_path):
     proc = run_cli("b2-table", "--out", "tab", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -685,8 +721,9 @@ COMMON_KEYS = {"out", "seed", "tmax", "tpoints", "log_grid"}
 def test_manifest_config_keys(tmp_path, monkeypatch, command, keys):
     # one key per flag of the command, apart from --help and --config
     monkeypatch.chdir(tmp_path)
-    LanczosCoefficients(np.zeros(20), np.sqrt(np.arange(1.0, 20.0))).to_csv(
-        "coeffs.csv")
+    lc = LanczosCoefficients(np.zeros(20), np.sqrt(np.arange(1.0, 20.0)))
+    spreadq.cli._write_table("coeffs.csv", spreadq.cli.COEFFS_HEADER,
+                             *spreadq.cli._coeff_columns(lc))
     assert spreadq.cli.main([*command, "--out", "run"]) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert set(manifest["config"]) == keys
@@ -701,6 +738,40 @@ def test_precision_bits_below_the_floor_changes_nothing(tmp_path):
     for name in ("coeffs.csv", "series.csv", "averages.json", "fits.json"):
         assert (tmp_path / "plain" / name).read_bytes() == \
             (tmp_path / "floor" / name).read_bytes()
+
+
+@pytest.mark.parametrize("small, unit", [
+    pytest.param(("semicircle", "--alpha", "1e-160"),
+                 ("semicircle", "--alpha", "1"), id="semicircle"),
+    pytest.param(("interpolation", "--sigma0", "1e-200", "--gamma", "5e-201"),
+                 ("interpolation", "--sigma0", "1", "--gamma", "0.5"),
+                 id="interpolation"),
+])
+def test_model_energy_scale_changes_no_average(tmp_path, small, unit):
+    # degeneracy and exhaustion thresholds are relative, with no absolute
+    # floor: a model shrunk by 1e-160 or 1e-200 keeps every level and
+    # every coefficient of its unit-scale twin
+    averages = {}
+    for label, flags in (("small", small), ("unit", unit)):
+        out = tmp_path / label
+        assert spreadq.cli.main(["model", "--variant", *flags, "--K", "40",
+                                 "--tpoints", "50", "--out", str(out)]) == 0
+        assert json.loads((out / "fits.json").read_text())["depth"] == 40
+        averages[label] = json.loads((out / "averages.json").read_text())
+    for key in ("C_bar", "F_bar"):
+        assert averages["small"][key] == pytest.approx(averages["unit"][key],
+                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("command", [GAUSSIAN, FRM, SPIN, ("b2-table",)],
+                         ids=["model", "frm", "spin", "b2-table"])
+def test_tables_end_lines_with_lf(tmp_path, command):
+    out = tmp_path / "run"
+    assert spreadq.cli.main([*command, "--out", str(out)]) == 0
+    tables = sorted(out.glob("*.csv"))
+    assert tables
+    for table in tables:
+        assert b"\r" not in table.read_bytes(), table.name
 
 
 def test_config_file_takes_times_as_a_list(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from spreadq import DomainError, LanczosCoefficients, NumericalError
+from spreadq import DomainError, LanczosCoefficients, NumericalError, cli
 from spreadq.evolution import (
     AVERAGE_COLUMN_SLAB,
     HEISENBERG_MULTIPLE,
@@ -125,13 +125,23 @@ def test_single_level_average_trivial():
 
 
 def test_degenerate_levels_merged():
-    # b2 ~ 1e-13 makes an almost-degenerate pair around 0; physically the
-    # state stays put, so F_bar must be 1, not the naive dephased 1/2
-    lc = LanczosCoefficients(a=np.zeros(2), b=np.array([1e-13]),
-                             physical=True)
-    avg = long_time_average(lc)
-    assert avg.f_bar == pytest.approx(1.0, abs=1e-12)
-    assert avg.c_bar == pytest.approx(0.0, abs=1e-12)
+    # two unit dimers coupled by 1e-14 give two near-degenerate pairs at
+    # +-1, split far below 1e-12 of the spectrum; over any time a grid
+    # reaches the state stays in the first dimer, so F_bar = C_bar = 1/2,
+    # not the naive four-level 1/4 and 1.  The rule is relative: the same
+    # T scaled by 1e-160 merges the same pairs.
+    for scale in (1.0, 1e-160):
+        lc = LanczosCoefficients(a=np.zeros(4),
+                                 b=scale * np.array([1.0, 1e-14, 1.0]),
+                                 physical=True)
+        avg = long_time_average(lc)
+        assert avg.f_bar == pytest.approx(0.5, abs=1e-12)
+        assert avg.c_bar == pytest.approx(0.5, abs=1e-12)
+    # a lone pair split by 2e-13 is a real two-level system (period ~3e13)
+    lone = long_time_average(LanczosCoefficients(
+        a=np.zeros(2), b=np.array([1e-13]), physical=True))
+    assert lone.f_bar == pytest.approx(0.5, abs=1e-12)
+    assert lone.c_bar == pytest.approx(0.5, abs=1e-12)
 
 
 def test_time_average_converges_to_long_time_average():
@@ -250,11 +260,12 @@ def test_series_csv_and_sidecar(tmp_path):
     lc = two_level()
     series = spread_complexity(evolve_amplitudes(lc, np.linspace(0, 2, 5)))
     csv_path = tmp_path / "series.csv"
-    series.to_csv(csv_path)
+    cli._write_table(csv_path, cli.SERIES_HEADER, series.times, series.C,
+                     series.F)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,C,F"
     assert len(lines) == 6
-    back = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    back = cli._read_table(csv_path, cli.SERIES_HEADER)
     np.testing.assert_allclose(back[:, 1], series.C, atol=1e-16)
 
     # the long-time averages written next to the model's series

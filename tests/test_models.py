@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from spreadq import (
     DomainError,
-    FrmSurvival,
     GaussianAutocorr,
     InterpolationAutocorr,
     SemicircleAutocorr,
@@ -118,7 +117,7 @@ def test_autocorr_magnitude_bounded_by_one():
 
 def test_autocorr_rejects_sp_models_and_bad_t():
     with pytest.raises(VariantError):
-        eval_autocorr(FrmSurvival(dim=100), 1.0)
+        eval_autocorr("frm", 1.0)
     with pytest.raises(DomainError):
         eval_autocorr(GaussianAutocorr(1.0), np.inf)
     with pytest.raises(DomainError):
@@ -133,7 +132,7 @@ def test_model_constructor_validation():
     with pytest.raises(DomainError):
         InterpolationAutocorr(sigma0=1.0, gamma=-0.5)
     with pytest.raises(DomainError):
-        FrmSurvival(dim=1)
+        eval_frm_sp(1, 0.0)
 
 
 def test_b2_anchors():
@@ -288,7 +287,7 @@ def test_moments_of_model_validation():
     with pytest.raises(DomainError):
         moments_of_model(GaussianAutocorr(1.0), 0)
     with pytest.raises(VariantError):
-        moments_of_model(FrmSurvival(dim=10), 4)
+        moments_of_model("frm", 4)
 
 
 def test_model_dict_roundtrip():
@@ -299,7 +298,6 @@ def test_model_dict_roundtrip():
         ({"variant": "interpolation", "sigma0": 2.0, "gamma": 0.5},
          InterpolationAutocorr(2.0, 0.5)),
         ({"variant": "semicircle", "alpha": 1.1}, SemicircleAutocorr(1.1)),
-        ({"variant": "frm", "dim": 1000}, FrmSurvival(dim=1000)),
     ]
     for data, model in cases:
         assert model_from_dict(data) == model
@@ -308,6 +306,8 @@ def test_model_dict_roundtrip():
 def test_model_from_dict_validation():
     with pytest.raises(VariantError):
         model_from_dict({"variant": "nope", "sigma0": 1.0})
+    with pytest.raises(VariantError):
+        model_from_dict({"variant": "frm", "dim": 1000})
     with pytest.raises(DomainError):
         model_from_dict({"variant": "gaussian"})
     with pytest.raises(DomainError):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreadq import cli
 from spreadq import (
     DomainError,
     GaussianAutocorr,
@@ -179,10 +180,11 @@ def test_exhaustion_on_point_mass():
 def test_csv_roundtrip(tmp_path):
     lc = moments_to_lanczos(point_mass_moments(16), 8)
     path = tmp_path / "coeffs.csv"
-    lc.to_csv(path)
-    back = LanczosCoefficients.from_csv(path)
-    np.testing.assert_array_equal(back.a, lc.a)
-    np.testing.assert_array_equal(back.b, lc.b)
+    cli._write_table(path, cli.COEFFS_HEADER, *cli._coeff_columns(lc))
+    back = cli._read_table(path, cli.COEFFS_HEADER)
+    np.testing.assert_array_equal(back[:, 0], np.arange(lc.K))
+    np.testing.assert_array_equal(back[:, 1], lc.a)
+    np.testing.assert_array_equal(back[1:, 2], lc.b)
     text = path.read_text().splitlines()
     assert text[0] == "n,a_n,b_n"
     assert len(text) == 1 + lc.K
