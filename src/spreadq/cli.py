@@ -311,9 +311,15 @@ def _read_table(path: str, header: str) -> np.ndarray:
     """The rows of a ``header`` table; ``DomainError`` names a bad file."""
     try:
         with open(path) as fh:
-            if fh.readline().strip() != header:
-                raise DomainError(f"{path}: expected the header {header}")
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            first, rows = fh.readline().strip(), fh.readlines()
+        if first != header:
+            raise DomainError(f"{path}: expected the header {header}")
+        # loadtxt would only warn, and read no rows as one column
+        if not any(row.strip() for row in rows):
+            raise DomainError(f"{path}: no data rows")
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except DomainError:
+        raise
     except (OSError, ValueError) as exc:
         raise DomainError(f"{path}: not a readable {header} table ({exc})")
     if table.shape[1] != header.count(",") + 1:
@@ -441,7 +447,8 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
     """The frm/spin run: member coefficients, series, mean profiles, fits.
 
     ``member(stream)`` returns the ``(H, psi0)`` of one member, of dimension
-    ``dim``.  Members run one loop in stream order, each through
+    ``dim``; H is the member's own, so it is reduced in place
+    (``overwrite_h``).  Members run one loop in stream order, each through
     ``_evolve``: H lives only while the coefficients are built, and the
     spectrum only inside ``_evolve``.  Member 0's spectrum sets the grid.
     A member's ``DomainError`` exits 2; any other failure of any member
@@ -465,7 +472,8 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
     times = None
     for stream in streams:
         try:
-            lc = householder_hessenberg(*member(stream), depth)
+            lc = householder_hessenberg(*member(stream), depth,
+                                        overwrite_h=True)
             if lc.K < 2:
                 raise DomainError(f"member {stream} has Krylov dimension 1; "
                                   "nothing to fit")

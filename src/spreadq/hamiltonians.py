@@ -19,13 +19,20 @@ integers; site 1 is the least significant bit.  The domain wall has sites
 Randomness: every draw comes from ``numpy.random.Philox`` keyed with
 ``(seed, stream)``.  A fixed ``(seed, stream)`` pair reproduces the same
 matrix bit-for-bit regardless of how many realizations run concurrently;
-ensemble drivers enumerate ``stream`` as a plain counter.
+ensemble commands enumerate ``stream`` as a plain counter.  ``numpy.random``
+is first reached when a draw is made, so importing this module (and every
+command that draws nothing) does not import it.
 
 Symmetry: every matrix is checked for ``H == H.T`` bit-exactly by
 ``is_symmetric``, which compares each ``SYMMETRY_TILE`` square tile of the
 lower triangle with the transpose of its upper partner.  Both tiles of a
 pair are read along contiguous rows and fit in cache together, so the check
-never scans H in transposed (strided) order.
+never scans H in transposed (strided) order.  The same tile pairs
+(``tile_pairs``) let ``sample_goe`` symmetrize in place.
+
+Memory: each builder returns one dense n x n float64 array and allocates no
+second one, so a member that is reduced in place
+(``householder_hessenberg(..., overwrite_h=True)``) holds n^2 doubles.
 """
 import math
 from dataclasses import dataclass, field
@@ -40,9 +47,19 @@ MAX_CHAIN_SITES = 20
 SYMMETRY_TILE = 128
 
 
-def _generator(seed: int, stream: int) -> np.random.Generator:
+def _generator(seed: int, stream: int):
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def tile_pairs(n: int):
+    """The ``(rows, cols)`` slices of each ``SYMMETRY_TILE`` square tile of
+    the lower triangle of an order-``n`` matrix, row band by row band; its
+    upper partner is ``[cols, rows]``, and a diagonal tile is its own."""
+    for lo in range(0, n, SYMMETRY_TILE):
+        rows = slice(lo, lo + SYMMETRY_TILE)
+        for left in range(0, lo + 1, SYMMETRY_TILE):
+            yield rows, slice(left, left + SYMMETRY_TILE)
 
 
 def is_symmetric(matrix: np.ndarray) -> bool:
@@ -54,14 +71,8 @@ def is_symmetric(matrix: np.ndarray) -> bool:
     """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    n = matrix.shape[0]
-    for lo in range(0, n, SYMMETRY_TILE):
-        rows = slice(lo, lo + SYMMETRY_TILE)
-        for left in range(0, lo + 1, SYMMETRY_TILE):
-            cols = slice(left, left + SYMMETRY_TILE)
-            if not (matrix[rows, cols] == matrix[cols, rows].T).all():
-                return False
-    return True
+    return all((matrix[rows, cols] == matrix[cols, rows].T).all()
+               for rows, cols in tile_pairs(matrix.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -143,13 +154,27 @@ class StateVector:
 
 
 def sample_goe(n: int, seed: int, stream: int = 0) -> SectorHamiltonian:
-    """Draw one GOE matrix: off-diagonal variance 1/2, diagonal variance 1."""
+    """Draw one GOE matrix: off-diagonal variance 1/2, diagonal variance 1.
+
+    The matrix is ``(A + A^T)/2`` bit for bit, formed in the one n^2 array
+    that ``A`` is drawn into: each tile pair of ``tile_pairs`` is replaced
+    by its mean, so no second n^2 array is ever allocated.
+    """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
     gen = _generator(seed, stream)
-    raw = gen.standard_normal((n, n))
-    # elementwise (raw + raw.T) is symmetric bit-exactly
-    ham = (raw + raw.T) / 2.0
+    ham = gen.standard_normal((n, n))
+    for rows, cols in tile_pairs(n):
+        # x + y == y + x in floating point: both halves get the same mean.
+        # Arithmetic on a contiguous copy: on strided views numpy would
+        # allocate further tile-sized temporaries
+        mean = ham[cols, rows].T.copy()
+        mean += ham[rows, cols]
+        mean /= 2.0
+        ham[rows, cols] = mean
+        ham[cols, rows] = mean.T
+        # so that no two tiles are alive at once
+        del mean
     meta = {"kind": "goe", "n": int(n), "seed": int(seed),
             "stream": int(stream)}
     return SectorHamiltonian(ham, np.arange(n), meta)

@@ -14,6 +14,10 @@ Two independent routes to the same coefficients:
   transforms only rows and columns 2..n, so e1 stays fixed and the first
   basis vector of the combined transform stays (up to sign) psi0.
   Backward-stable at any dimension and depth; the one route the CLI runs.
+  From a basis vector the reduction needs no matrix beside the one it
+  reduces: by default a private copy, with ``overwrite_h`` (as the CLI's
+  members ask) the caller's H itself, so a depth-K member holds n^2
+  doubles, not 2 n^2.
 - ``lanczos_tridiagonalize``: three-term recursion with full
   reorthogonalization (two Gram-Schmidt passes against every previous basis
   vector) each step.  No command calls it: it is the independent reference
@@ -26,13 +30,15 @@ decoupling the tridiagonal block no longer describes the Krylov space of
 psi0.  Where the full tridiagonal is at hand, ||H|| is exact from its end
 eigenvalues (LAPACK ``dstebz``), as T is orthogonally similar to H.  A
 partial T or a Lanczos run gives no ||H||, so there a power-iteration
-estimate runs once some entry falls below a Frobenius-norm gate.
+estimate runs once some entry falls below a Frobenius-norm gate: on H in
+the Lanczos run, and on the partially reduced matrix, which is
+orthogonally similar to H, in the Householder one.
 """
 import numpy as np
 
 from . import _lapack
 from .errors import DomainError
-from .hamiltonians import matrix_and_state
+from .hamiltonians import matrix_and_state, tile_pairs
 from .moment_lanczos import LanczosCoefficients
 
 TERMINATION_RTOL = 1e-12
@@ -153,25 +159,51 @@ def reduction_kernel(n: int, depth: int | None = None) -> str:
     return "dsytrd" if n < TWO_STAGE_MIN_ORDER else "dsytrd_2stage"
 
 
-def householder_hessenberg(ham, psi0, depth: int | None = None) \
-        -> LanczosCoefficients:
+def _reduced_matrix(reduced: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The whole symmetric matrix a partial reduction leaves, made up in
+    the reduced buffer itself: the tridiagonal head (``e`` below the diagonal of the
+    reduced columns, whose reflector entries are zeroed) joined to the
+    updated trailing block, the lower triangle mirrored onto the upper one.
+    Up to the signs of ``e`` (a diagonal similarity) it is Q^T H Q, so it
+    has the spectrum of the H that was reduced."""
+    for i, sub in enumerate(e):
+        reduced[i + 1:, i] = 0.0
+        reduced[i + 1, i] = sub
+    for rows, cols in tile_pairs(reduced.shape[0]):
+        if rows == cols:
+            tile = reduced[rows, cols]
+            tile[...] = np.tril(tile) + np.tril(tile, -1).T
+        else:
+            reduced[cols, rows] = reduced[rows, cols].T
+    return reduced
+
+
+def householder_hessenberg(ham, psi0, depth: int | None = None,
+                           overwrite_h: bool = False) -> LanczosCoefficients:
     """The first ``depth`` coefficients (all n for ``None``) via one
     reflector plus LAPACK.
 
     Sub-diagonal entries are made non-negative (diagonal sign flips leave
     the coefficients' physics unchanged) and the profile is truncated at
     the first decoupling, as in the Lanczos path.  At full depth ||H|| is
-    exact from the extreme eigenvalues of the full tridiagonal; a partial
-    one estimates it by power iteration, only once some sub-diagonal entry
-    falls below the Frobenius gate.
+    exact from the extreme eigenvalues of the full tridiagonal.  A partial
+    one takes the Frobenius gate of H before reducing, and only once some
+    sub-diagonal entry falls below it estimates ||H|| by power iteration on
+    the reduced buffer made whole (``_reduced_matrix``), which is
+    orthogonally similar to H.
 
     When psi0 is a multiple of a basis vector e_j, the reflector is the
-    symmetric swap of indices 0 and j (a plain copy for j = 0): its sign
-    flips do not change a_n or |b_n|, so no rank-2 update is formed.  Any
-    other psi0 takes the reflector route.  Either way the reduction that
-    ``reduction_kernel`` names for the order of H and the depth works in
-    place on one private copy, of n^2 at any depth; the caller's H is never
-    written.  A nonzero LAPACK ``info`` raises ``LapackError``.
+    symmetric swap of indices 0 and j: its sign flips do not change a_n or
+    |b_n|, so no rank-2 update is formed.  Any other psi0 takes the
+    reflector route, which builds a new matrix.  Either way the reduction
+    that ``reduction_kernel`` names for the order of H and the depth works
+    in place on one n^2 buffer.  By default that buffer is a private copy
+    and the caller's H is never written.  With ``overwrite_h`` (scipy's
+    ``overwrite_a``) a basis-vector start swaps and reduces the caller's
+    array itself, if it is float64, C- or F-contiguous and writeable
+    (otherwise it is copied as by default), and leaves it holding
+    reduction debris; the coefficients are bit-identical either way.  A
+    nonzero LAPACK ``info`` raises ``LapackError``.
     """
     matrix, start = matrix_and_state(ham, psi0)
     n = matrix.shape[0]
@@ -180,9 +212,15 @@ def householder_hessenberg(ham, psi0, depth: int | None = None) \
         return LanczosCoefficients(a=matrix[0, :1].astype(float).copy(),
                                    b=np.zeros(0), physical=True)
 
+    # the gate reads H, so it is taken before H may be overwritten
+    gate = _estimate_gate(matrix) if depth < n else None
     support = np.flatnonzero(start)
     if support.size == 1:
-        rotated = np.array(matrix, dtype=float, order="C")
+        in_place = overwrite_h and matrix.dtype == np.float64 \
+            and matrix.flags.writeable \
+            and (matrix.flags.c_contiguous or matrix.flags.f_contiguous)
+        rotated = matrix if in_place \
+            else np.array(matrix, dtype=float, order="C")
         j = int(support[0])
         if j != 0:
             rotated[[0, j]] = rotated[[j, 0]]
@@ -203,11 +241,12 @@ def householder_hessenberg(ham, psi0, depth: int | None = None) \
         rotated = matrix - np.outer(u, v) - np.outer(v, u)
         rotated = (rotated + rotated.T) / 2.0
 
-    # rotated is symmetric and C-ordered, so its transpose is the same
+    # rotated is symmetric, so a C-ordered one's transpose is the same
     # matrix in Fortran order: the reduction overwrites it without another
     # copy
+    reduced = rotated if rotated.flags.f_contiguous else rotated.T
     kernel = getattr(_lapack, reduction_kernel(n, depth))
-    diag, off = kernel(rotated.T, depth) if depth < n else kernel(rotated.T)
+    diag, off = kernel(reduced, depth) if depth < n else kernel(reduced)
     off = np.abs(off)
 
     if depth == n:
@@ -216,8 +255,8 @@ def householder_hessenberg(ham, psi0, depth: int | None = None) \
         norm = max(abs(_lapack.dstebz(diag, off, i)) for i in (0, n - 1))
         tol = TERMINATION_RTOL * norm
     else:
-        gate = _estimate_gate(matrix)
-        tol = (TERMINATION_RTOL * spectral_norm_estimate(matrix)
+        tol = (TERMINATION_RTOL
+               * spectral_norm_estimate(_reduced_matrix(reduced, off))
                if np.any(off <= gate) else gate)
     cut = np.nonzero(off <= tol)[0]
     k_actual = int(cut[0]) + 1 if cut.size else depth

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -307,6 +308,41 @@ def test_fit_series_needs_its_header(tmp_path, capsys, header):
     err = capsys.readouterr().err
     assert str(series) in err and "t,C,F" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, header, fit", [
+    ("--series", "t,C,F", ["--kind", "decay", "--window", "2", "40"]),
+    ("--coeffs", "n,a_n,b_n", ["--kind", "power"]),
+])
+def test_fit_of_a_header_only_table_exits_2(tmp_path, flag, header, fit):
+    table = tmp_path / "table.csv"
+    table.write_text(header + "\n")
+    proc = run_cli("fit", flag, str(table), *fit, "--out", "never",
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{table}: no data rows" in proc.stderr
+    assert "UserWarning" not in proc.stderr
+    assert not (tmp_path / "never").exists()
+
+
+def test_frm_K_member_holds_one_matrix(tmp_path):
+    # each member's H is drawn, symmetrized and reduced in one n^2 array;
+    # a private copy for the reduction would double the peak
+    n = 600
+    # the first run in a process imports numpy.random
+    assert spreadq.cli.main(["frm", "--dim", "8", "--realizations", "1",
+                             "--K", "3", "--tpoints", "20", "--out",
+                             str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        code = spreadq.cli.main(["frm", "--dim", str(n), "--realizations",
+                                 "2", "--K", "40", "--out",
+                                 str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1.25 * n * n * 8
 
 
 def test_b2_table_default_values(tmp_path):
@@ -992,20 +1028,23 @@ if os.path.exists("/proc/self/maps"):
 # np.median imports numpy.ma on its first call; the grid rule avoids it
 print(sorted(m for m in ("scipy.linalg", "scipy.special", "numpy.ma")
              if m in sys.modules))
+print("numpy.random" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("runs", [
-    pytest.param([], id="import"),
+# numpy.random is reached only by a draw: frm and spin need it, an import
+# and a model run do not
+@pytest.mark.parametrize("runs, draws", [
+    pytest.param([], False, id="import"),
     pytest.param([[*GAUSSIAN, "--tpoints", "20", "--out", "gaussian"],
                   [*INTERPOLATION, "--tpoints", "20", "--out", "interp"]],
-                 id="model"),
+                 False, id="model"),
     pytest.param([[*FRM, "--tpoints", "20", "--out", "frm"],
                   [*FRM, "--K", "5", "--tpoints", "20", "--out", "frm-K"],
                   [*SPIN, "--tpoints", "20", "--out", "spin"]],
-                 id="frm-spin"),
+                 True, id="frm-spin"),
 ])
-def test_cli_does_not_import_scipy_linalg_or_special(tmp_path, runs):
+def test_cli_does_not_import_scipy_linalg_or_special(tmp_path, runs, draws):
     proc = run_python("-c", STARTUP_CHECK.format(runs=runs), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", str(draws)]

@@ -27,7 +27,15 @@ from spreadq.evolution import (
     spread_series,
     time_grid,
 )
-from spreadq.matrix_lanczos import lanczos_tridiagonalize
+from spreadq.hamiltonians import (
+    SpinChainSpec,
+    build_spin_sector,
+    domain_wall_state,
+)
+from spreadq.matrix_lanczos import (
+    householder_hessenberg,
+    lanczos_tridiagonalize,
+)
 
 
 def two_level():
@@ -82,6 +90,26 @@ def test_matches_full_space_evolution():
         projected = basis.conj() @ evolved
         np.testing.assert_allclose(amp.phi[i], projected, atol=1e-9)
         assert abs(abs(evolved[0]) ** 2 - abs(amp.phi[i, 0]) ** 2) < 1e-9
+
+
+@pytest.mark.parametrize("L", [8, 10])
+def test_spin_chain_survival_matches_full_space_eigh(L):
+    # F(t) = |sum_k |<k|psi>|^2 exp(-i E_k t)|^2 from a full eigh of the
+    # sector, against a member's route: the domain-wall swap reduced in
+    # place, then cli._evolve on its own log grid, which runs to 20
+    # Heisenberg times
+    spec = SpinChainSpec(L=L, h=0.4, g=1.0, seed=5)
+    ham = build_spin_sector(spec).H
+    psi0 = domain_wall_state(spec).amplitudes
+    energies, vectors = np.linalg.eigh(ham)
+    weights = (vectors.T @ psi0) ** 2
+    lc = householder_hessenberg(ham, psi0, overwrite_h=True)
+    series, _ = cli._evolve(lc, {"tpoints": 600, "tmax": None,
+                                 "log_grid": True})
+    assert series.times[-1] > 10 * 2 * np.pi / np.median(np.diff(energies))
+    phases = np.exp(-1j * np.outer(series.times, energies))
+    exact = np.abs(phases @ weights) ** 2
+    np.testing.assert_allclose(series.F, exact, rtol=0, atol=1e-10)
 
 
 def test_gaussian_early_time_quadratic():

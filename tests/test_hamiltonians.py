@@ -4,6 +4,7 @@ The sector build is audited against a full 2^L-space oracle assembled from
 Kronecker products of single-site spin-1/2 operators.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,33 @@ def test_goe_reproducible_and_stream_separated():
     c = sample_goe(20, seed=123, stream=5)
     assert np.array_equal(a.H, b.H)
     assert not np.array_equal(a.H, c.H)
+
+
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 300])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_goe_is_the_mean_of_the_draw_and_its_transpose(n, seed):
+    # the in-place tile averaging is (A + A^T)/2 bit for bit, on every
+    # side of a SYMMETRY_TILE boundary
+    key = np.array([seed, 6], dtype=np.uint64)
+    raw = np.random.Generator(np.random.Philox(key=key)) \
+        .standard_normal((n, n))
+    expected = (raw + raw.T) / 2.0
+    assert np.array_equal(sample_goe(n, seed, stream=6).H.view(np.uint64),
+                          expected.view(np.uint64))
+
+
+def test_goe_draw_holds_one_matrix():
+    n = 600
+    # the first draw in a process imports numpy.random
+    sample_goe(2, seed=1)
+    tracemalloc.start()
+    try:
+        sample_goe(n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # (A + A^T)/2 out of place peaks at 3 n^2 doubles
+    assert peak <= 1.1 * n * n * 8
 
 
 def test_goe_variance_convention():

@@ -4,6 +4,8 @@ Lanczos and Householder are algorithmically independent, so their mutual
 agreement plus the moment-pipeline consistency check triangulate all three
 implementations against each other.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +289,109 @@ def test_householder_leaves_caller_matrix_untouched(order, start_kind):
     assert np.array_equal(ham, before)
 
 
+@pytest.mark.parametrize("crossover", [10 ** 9, 2],
+                         ids=["dsytrd", "dsytrd_2stage"])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
+def test_overwrite_h_gives_the_default_coefficients(monkeypatch, crossover,
+                                                    order, start_kind):
+    # the crossover picks the full-depth kernel, as in
+    # test_householder_runs_the_named_reduction
+    monkeypatch.setattr(matrix_lanczos, "TWO_STAGE_MIN_ORDER", crossover)
+    ham, general = random_symmetric(64, seed=78)
+    ham = np.array(ham, order=order)
+    start = {"e0": unit_vector(64, 0), "ej": unit_vector(64, 5),
+             "general": general}[start_kind]
+    for depth in (None, 1, 20, 63):
+        expected = householder_hessenberg(ham, start, depth)
+        buffer = ham.copy(order="K")
+        lc = householder_hessenberg(buffer, start, depth, overwrite_h=True)
+        assert lc.K == expected.K
+        assert np.array_equal(lc.a, expected.a)
+        assert np.array_equal(lc.b, expected.b)
+        # a basis-vector start swaps and reduces the caller's array; the
+        # reflector route builds its own, and e0 at depth 1 reduces nothing
+        untouched = start_kind == "general" \
+            or (start_kind == "e0" and depth == 1)
+        assert np.array_equal(buffer, ham) == untouched
+
+
+def test_overwrite_h_copies_what_it_cannot_reduce_in_place():
+    big, _ = random_symmetric(80, seed=79)
+    ham = big[:40, :40].copy()
+    frozen = ham.copy()
+    frozen.flags.writeable = False
+    # read-only, strided, or not float64: each is copied, as by default
+    for matrix in (frozen, big[::2, ::2], np.rint(8 * ham).astype(np.int64),
+                   ham.astype(np.float32)):
+        before = matrix.copy()
+        for depth in (None, 10):
+            expected = householder_hessenberg(matrix, unit_vector(40, 3),
+                                              depth)
+            lc = householder_hessenberg(matrix, unit_vector(40, 3), depth,
+                                        overwrite_h=True)
+            assert np.array_equal(lc.a, expected.a)
+            assert np.array_equal(lc.b, expected.b)
+        assert np.array_equal(matrix, before)
+
+
+def test_overwrite_h_cuts_a_decoupled_block_at_the_same_depth(
+        norm_estimates):
+    # e_1 lives in the leading 3x3 block; the 2x2 tail must not leak in
+    ham = np.zeros((5, 5))
+    ham[:3, :3] = [[0.0, 1.0, 0.0], [1.0, 0.5, 2.0], [0.0, 2.0, -1.0]]
+    ham[3:, 3:] = [[5.0, 1.0], [1.0, 6.0]]
+    start = unit_vector(5, 1)
+    for depth in (None, 4):
+        expected = householder_hessenberg(ham, start, depth)
+        lc = householder_hessenberg(ham.copy(), start, depth,
+                                    overwrite_h=True)
+        assert expected.K == lc.K == 3
+        assert np.array_equal(lc.a, expected.a)
+        assert np.array_equal(lc.b, expected.b)
+    # the partial reductions estimate ||H|| once each, on the n x n buffer
+    assert norm_estimates == [(5, 5), (5, 5)]
+    reference = lanczos_tridiagonalize(ham, start, 5)
+    np.testing.assert_allclose(lc.a, reference.a, atol=1e-12)
+    np.testing.assert_allclose(lc.b, reference.b, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, depth", [(50, 10), (300, 40), (300, 299),
+                                      (257, 130)])
+def test_reduced_matrix_keeps_the_spectrum_of_h(n, depth):
+    # the buffer a partial reduction leaves, made whole, is what the norm
+    # estimate runs on: symmetric, headed by T, and similar to H
+    ham = sample_goe(n, seed=3).H
+    reduced = np.array(ham, order="F")
+    diag, off = _lapack.dsytrd_leading(reduced, depth)
+    whole = matrix_lanczos._reduced_matrix(reduced, np.abs(off))
+    assert whole is reduced and np.array_equal(whole, whole.T)
+    np.testing.assert_array_equal(np.diag(whole)[:depth], diag)
+    np.testing.assert_array_equal(np.diag(whole, -1)[:depth - 1],
+                                  np.abs(off))
+    assert not np.any(np.tril(whole[:, :depth - 1], -2))
+    expected = np.linalg.eigvalsh(ham)
+    np.testing.assert_allclose(np.linalg.eigvalsh(whole), expected, rtol=0,
+                               atol=1e-13 * np.abs(expected).max())
+
+
+def test_in_place_reduction_holds_one_matrix():
+    # sample_goe draws into one n^2 array and the reduction works on it
+    n = 1000
+    ham = sample_goe(n, seed=1).H
+    matrix_bytes = n * n * 8
+    for depth in (200, n):
+        buffer = ham.copy()
+        tracemalloc.start()
+        try:
+            householder_hessenberg(buffer, unit_vector(n, 0), depth,
+                                   overwrite_h=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * matrix_bytes, depth
+
+
 def test_reduction_kernel_switches_at_the_crossover_order():
     assert reduction_kernel(2) == "dsytrd"
     assert reduction_kernel(TWO_STAGE_MIN_ORDER - 1) == "dsytrd"
@@ -399,6 +504,11 @@ def test_partial_householder_against_moments_and_lanczos(case):
     ham, start, depth = case
     lc = householder_hessenberg(ham, start, depth)
     assert 1 <= lc.K <= depth
+    # reduced in the caller's array, the same coefficients and the same cut
+    in_place = householder_hessenberg(ham.copy(), start, depth,
+                                      overwrite_h=True)
+    assert np.array_equal(in_place.a, lc.a)
+    assert np.array_equal(in_place.b, lc.b)
     norm = np.max(np.abs(np.linalg.eigvalsh(ham))) or 1.0
     # (T^k)_00 = <psi|H^k|psi> for k <= 2 depth - 1: exact while T is the
     # whole Krylov block, and past a cut (b_n <= 1e-12 ||H||) to rounding
