@@ -19,7 +19,9 @@ counter stream r, so member sets are reproducible and order-independent.
 Identical resolved config and seed give byte-identical data files.
 ``manifest.json`` (config hash, seeds, package versions, wall time and, for
 ``frm`` and ``spin``, the tridiagonalization kernel) is the only file exempt
-from byte identity.
+from byte identity.  Its versions name python, spreadq and numpy, and
+mpmath where the run computed with it (the interpolation model's moment
+recursion).  No command imports scipy.
 
 Every CSV table goes through ``_write_table`` and ``_read_table``: a
 ``*_HEADER`` line, then one row per index of ``.17g`` values (integers print
@@ -29,7 +31,6 @@ as integers), all lines ending in LF; the reader also takes CRLF.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import platform
 import sys
@@ -37,9 +38,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import mpmath
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (
@@ -335,6 +334,11 @@ def _coeff_columns(lc: LanczosCoefficients) -> tuple:
 def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
                     started: float, tridiagonalization: str | None = None
                     ) -> None:
+    """``manifest.json``.  ``versions`` adds mpmath only if the run loaded
+    it: the last member's freed H is still held here, so a library
+    imported now would raise the run's peak memory."""
+    import hashlib
+
     hashed = {k: v for k, v in sorted(config.items()) if k != "out"}
     blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"),
                       default=str)
@@ -347,11 +351,11 @@ def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
             "python": platform.python_version(),
             "spreadq": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "mpmath": mpmath.__version__,
         },
         "wall_time_s": time.perf_counter() - started,
     }
+    if "mpmath" in sys.modules:
+        manifest["versions"]["mpmath"] = sys.modules["mpmath"].__version__
     if tridiagonalization is not None:
         manifest["tridiagonalization"] = tridiagonalization
     _write_json(out / "manifest.json", manifest)

@@ -28,7 +28,9 @@ Symmetry: every matrix is checked for ``H == H.T`` bit-exactly by
 lower triangle with the transpose of its upper partner.  Both tiles of a
 pair are read along contiguous rows and fit in cache together, so the check
 never scans H in transposed (strided) order.  The same tile pairs
-(``tile_pairs``) let ``sample_goe`` symmetrize in place.
+(``tile_pairs``) let ``symmetrize_in_place`` average H with its transpose
+without a second n x n array, for ``sample_goe`` and for the reflector of
+``householder_hessenberg``.
 
 Memory: each builder returns one dense n x n float64 array and allocates no
 second one, so a member that is reduced in place
@@ -60,6 +62,24 @@ def tile_pairs(n: int):
         rows = slice(lo, lo + SYMMETRY_TILE)
         for left in range(0, lo + 1, SYMMETRY_TILE):
             yield rows, slice(left, left + SYMMETRY_TILE)
+
+
+def symmetrize_in_place(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, overwritten with ``(matrix + matrix.T) / 2`` bit for bit:
+    each tile pair of ``tile_pairs`` is replaced by its mean, so at most
+    one tile-sized temporary is alive at a time."""
+    for rows, cols in tile_pairs(matrix.shape[0]):
+        # x + y == y + x in floating point: both halves get the same mean.
+        # Arithmetic on a contiguous copy: on strided views numpy would
+        # allocate further tile-sized temporaries
+        mean = matrix[cols, rows].T.copy()
+        mean += matrix[rows, cols]
+        mean /= 2.0
+        matrix[rows, cols] = mean
+        matrix[cols, rows] = mean.T
+        # so that no two tiles are alive at once
+        del mean
+    return matrix
 
 
 def is_symmetric(matrix: np.ndarray) -> bool:
@@ -163,18 +183,7 @@ def sample_goe(n: int, seed: int, stream: int = 0) -> SectorHamiltonian:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
     gen = _generator(seed, stream)
-    ham = gen.standard_normal((n, n))
-    for rows, cols in tile_pairs(n):
-        # x + y == y + x in floating point: both halves get the same mean.
-        # Arithmetic on a contiguous copy: on strided views numpy would
-        # allocate further tile-sized temporaries
-        mean = ham[cols, rows].T.copy()
-        mean += ham[rows, cols]
-        mean /= 2.0
-        ham[rows, cols] = mean
-        ham[cols, rows] = mean.T
-        # so that no two tiles are alive at once
-        del mean
+    ham = symmetrize_in_place(gen.standard_normal((n, n)))
     meta = {"kind": "goe", "n": int(n), "seed": int(seed),
             "stream": int(stream)}
     return SectorHamiltonian(ham, np.arange(n), meta)

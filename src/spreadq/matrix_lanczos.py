@@ -14,7 +14,7 @@ Two independent routes to the same coefficients:
   transforms only rows and columns 2..n, so e1 stays fixed and the first
   basis vector of the combined transform stays (up to sign) psi0.
   Backward-stable at any dimension and depth; the one route the CLI runs.
-  From a basis vector the reduction needs no matrix beside the one it
+  Neither the swap nor the reflector needs a matrix beside the one it
   reduces: by default a private copy, with ``overwrite_h`` (as the CLI's
   members ask) the caller's H itself, so a depth-K member holds n^2
   doubles, not 2 n^2.
@@ -38,13 +38,15 @@ import numpy as np
 
 from . import _lapack
 from .errors import DomainError
-from .hamiltonians import matrix_and_state, tile_pairs
+from .hamiltonians import matrix_and_state, symmetrize_in_place, tile_pairs
 from .moment_lanczos import LanczosCoefficients
 
 TERMINATION_RTOL = 1e-12
 POWER_ITERATIONS = 30
 # smallest order reduced by dsytrd_2stage; see reduction_kernel
 TWO_STAGE_MIN_ORDER = 2048
+# rows of H per band of the reflector's rank-2 update
+REFLECTOR_ROWS = 128
 
 
 def spectral_norm_estimate(matrix: np.ndarray) -> float:
@@ -195,15 +197,17 @@ def householder_hessenberg(ham, psi0, depth: int | None = None,
     When psi0 is a multiple of a basis vector e_j, the reflector is the
     symmetric swap of indices 0 and j: its sign flips do not change a_n or
     |b_n|, so no rank-2 update is formed.  Any other psi0 takes the
-    reflector route, which builds a new matrix.  Either way the reduction
-    that ``reduction_kernel`` names for the order of H and the depth works
+    reflector route: the rank-2 update is applied ``REFLECTOR_ROWS`` rows
+    at a time and the result symmetrized tile pair by tile pair
+    (``symmetrize_in_place``).  Either way the rotation and the reduction
+    that ``reduction_kernel`` names for the order of H and the depth work
     in place on one n^2 buffer.  By default that buffer is a private copy
     and the caller's H is never written.  With ``overwrite_h`` (scipy's
-    ``overwrite_a``) a basis-vector start swaps and reduces the caller's
-    array itself, if it is float64, C- or F-contiguous and writeable
-    (otherwise it is copied as by default), and leaves it holding
-    reduction debris; the coefficients are bit-identical either way.  A
-    nonzero LAPACK ``info`` raises ``LapackError``.
+    ``overwrite_a``) the rotation and reduction run on the caller's array
+    itself, if it is float64, C- or F-contiguous and writeable (otherwise
+    it is copied as by default), and leave it holding reduction debris;
+    the coefficients are bit-identical either way.  A nonzero LAPACK
+    ``info`` raises ``LapackError``.
     """
     matrix, start = matrix_and_state(ham, psi0)
     n = matrix.shape[0]
@@ -214,13 +218,12 @@ def householder_hessenberg(ham, psi0, depth: int | None = None,
 
     # the gate reads H, so it is taken before H may be overwritten
     gate = _estimate_gate(matrix) if depth < n else None
+    in_place = overwrite_h and matrix.dtype == np.float64 \
+        and matrix.flags.writeable \
+        and (matrix.flags.c_contiguous or matrix.flags.f_contiguous)
+    rotated = matrix if in_place else np.array(matrix, dtype=float, order="C")
     support = np.flatnonzero(start)
     if support.size == 1:
-        in_place = overwrite_h and matrix.dtype == np.float64 \
-            and matrix.flags.writeable \
-            and (matrix.flags.c_contiguous or matrix.flags.f_contiguous)
-        rotated = matrix if in_place \
-            else np.array(matrix, dtype=float, order="C")
         j = int(support[0])
         if j != 0:
             rotated[[0, j]] = rotated[[j, 0]]
@@ -236,10 +239,14 @@ def householder_hessenberg(ham, psi0, depth: int | None = None,
         hv = matrix @ v
         alpha = 2.0 / vnorm2
         beta = alpha * alpha / 2.0 * (v @ hv)
-        # P H P with P = I - 2 v v^T / (v^T v), via a rank-2 update
+        # P H P with P = I - 2 v v^T / (v^T v), via a rank-2 update applied
+        # a row band at a time, so no n x n outer product is formed
         u = alpha * hv - beta * v
-        rotated = matrix - np.outer(u, v) - np.outer(v, u)
-        rotated = (rotated + rotated.T) / 2.0
+        for lo in range(0, n, REFLECTOR_ROWS):
+            rows = slice(lo, lo + REFLECTOR_ROWS)
+            rotated[rows] -= np.outer(u[rows], v)
+            rotated[rows] -= np.outer(v[rows], u)
+        symmetrize_in_place(rotated)
 
     # rotated is symmetric, so a C-ordered one's transpose is the same
     # matrix in Fortran order: the reduction overwrites it without another

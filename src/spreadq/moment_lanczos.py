@@ -17,7 +17,9 @@ directions without ever touching a matrix:
   precision: rational inputs are processed with exact ``fractions.Fraction``
   arithmetic, everything else with ``mpmath`` at a working precision that is
   escalated until two precision levels agree.  Rationals tagged with a
-  ``precision_bits`` floor take the faster ``mpmath`` route too.
+  ``precision_bits`` floor take the faster ``mpmath`` route too.  mpmath is
+  imported where that route first needs it, so the exact route, and every
+  caller that only builds ``LanczosCoefficients``, never loads it.
 
 * ``lanczos_to_moments`` recovers ``mu_n = (T^n)_00`` exactly.  Closed walks
   on a tridiagonal matrix cross every off-diagonal bond an even number of
@@ -37,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -203,6 +204,8 @@ def _signed_root(value, n: int) -> float:
     fv = _float(value)
     if value == 0 or FLOAT_TINY <= abs(fv) < np.inf:
         return np.sign(fv) * np.sqrt(abs(fv))
+    import mpmath
+
     with mpmath.workprec(113):
         root = mpmath.sqrt(abs(_mpf(value)))
         if not FLOAT_TINY <= _float(root) < np.inf:
@@ -223,6 +226,8 @@ def _finalize(a, b2, violation) -> LanczosCoefficients:
 
 def _mpf(value):
     """``value`` at the working precision; a rational as ``mpf(p)/q``."""
+    import mpmath
+
     if isinstance(value, Rational):
         return mpmath.mpf(value.numerator) / value.denominator
     return value if isinstance(value, mpmath.mpf) else mpmath.mpf(value)
@@ -244,6 +249,8 @@ def _convert(moments: MomentSequence, K, formal,
     # level, so the agreement check also covers their rounding.  A
     # positivity failure is only believed once two consecutive precision
     # levels report it at the same depth; otherwise it is retried.
+    import mpmath
+
     prec = max(128, 12 * K, moments.precision_bits or 0, precision_bits or 0)
     if prec > MAX_PRECISION_BITS:
         raise DomainError(

@@ -24,7 +24,10 @@ from spreadq import (
     LanczosCoefficients,
     LapackError,
     _lapack,
+    eval_autocorr,
+    evolve_amplitudes,
     matrix_lanczos,
+    model_from_dict,
 )
 from spreadq.hamiltonians import sample_goe
 
@@ -88,6 +91,31 @@ def test_model_semicircle_constant_coefficients(tmp_path):
     assert proc.returncode == 0, proc.stderr
     _, _, b = read_coeffs(tmp_path / "run" / "coeffs.csv")
     np.testing.assert_allclose(b[1:], 1.0, rtol=1e-9)
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param({"variant": "gaussian", "sigma0": 1.0}, id="gaussian"),
+    pytest.param({"variant": "semicircle", "alpha": 1.0}, id="semicircle"),
+    pytest.param({"variant": "interpolation", "sigma0": 2.0, "gamma": 0.5},
+                 id="interpolation"),
+])
+def test_model_survival_is_the_closed_form_before_the_krylov_edge(
+        tmp_path, params):
+    # until the chain's last site |phi_(K-1)|^2 first exceeds 1e-12, the
+    # K = 40 truncation cannot show in F = |S(t)|^2
+    out = tmp_path / "run"
+    argv = ["model", "--K", "40", "--out", str(out)]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    assert spreadq.cli.main(argv) == 0
+    _, a, b = read_coeffs(out / "coeffs.csv")
+    t, _, f = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1).T
+    edge = np.abs(evolve_amplitudes(LanczosCoefficients(a, b[1:]), t)
+                  .phi[:, -1]) ** 2
+    before = t[:np.argmax(edge > 1e-12)] if np.any(edge > 1e-12) else t
+    assert before.size >= 100
+    exact = eval_autocorr(model_from_dict(params), before) ** 2
+    np.testing.assert_allclose(f[:before.size], exact, rtol=0, atol=1e-10)
 
 
 def test_truncated_quadratic_needs_formal_flag(tmp_path):
@@ -1003,8 +1031,10 @@ def test_model_moment_route(tmp_path, recursion_calls, variant, exact):
     assert set(recursion_calls) == {exact}
 
 
-# scipy's Python linear-algebra and special-function layers cost about
-# 0.4 s of start-up; the command line reaches LAPACK through ctypes instead.
+# The command line imports only what it computes with: no scipy (it reaches
+# LAPACK through ctypes), mpmath only for the interpolation model's
+# recursion, hashlib (and OpenSSL's _hashlib) only to write a manifest or
+# through numpy.random; an import of spreadq.cli takes about 0.3 s.
 # That LAPACK is the OpenBLAS numpy links, so one BLAS thread pool serves
 # every call: no other OpenBLAS build may be mapped into the process.
 STARTUP_CHECK = """
@@ -1029,22 +1059,40 @@ if os.path.exists("/proc/self/maps"):
 print(sorted(m for m in ("scipy.linalg", "scipy.special", "numpy.ma")
              if m in sys.modules))
 print("numpy.random" in sys.modules)
+print(sorted(m for m in ("_hashlib", "mpmath", "scipy") if m in sys.modules))
 """
 
 
 # numpy.random is reached only by a draw: frm and spin need it, an import
-# and a model run do not
-@pytest.mark.parametrize("runs, draws", [
-    pytest.param([], False, id="import"),
+# and a model run do not.  mpmath is reached only by the interpolation
+# model, scipy by no command, and _hashlib by a manifest or a draw
+@pytest.mark.parametrize("runs, draws, loaded", [
+    pytest.param([], False, [], id="import"),
     pytest.param([[*GAUSSIAN, "--tpoints", "20", "--out", "gaussian"],
                   [*INTERPOLATION, "--tpoints", "20", "--out", "interp"]],
-                 False, id="model"),
+                 False, ["_hashlib", "mpmath"], id="model"),
     pytest.param([[*FRM, "--tpoints", "20", "--out", "frm"],
                   [*FRM, "--K", "5", "--tpoints", "20", "--out", "frm-K"],
                   [*SPIN, "--tpoints", "20", "--out", "spin"]],
-                 True, id="frm-spin"),
+                 True, ["_hashlib"], id="frm-spin"),
 ])
-def test_cli_does_not_import_scipy_linalg_or_special(tmp_path, runs, draws):
+def test_cli_does_not_import_scipy_linalg_or_special(tmp_path, runs, draws,
+                                                     loaded):
     proc = run_python("-c", STARTUP_CHECK.format(runs=runs), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", str(draws)]
+    assert proc.stdout.split("\n")[:3] == ["[]", str(draws), str(loaded)]
+
+
+@pytest.mark.parametrize("command, extra", [
+    pytest.param(FRM, set(), id="frm"),
+    pytest.param(INTERPOLATION, {"mpmath"}, id="model-interpolation"),
+    pytest.param(GAUSSIAN, set(), id="model-gaussian"),
+])
+def test_manifest_versions_name_the_libraries_the_run_loaded(tmp_path,
+                                                             command, extra):
+    proc = run_cli(*command, "--tpoints", "20", "--out", "run", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert set(manifest["versions"]) == {"python", "spreadq", "numpy"} | extra
+    assert manifest["versions"]["spreadq"] == spreadq.__version__
+    assert "scipy" not in json.dumps(manifest)

@@ -21,6 +21,7 @@ from spreadq.hamiltonians import (
     is_symmetric,
     ldos_summary,
     sample_goe,
+    symmetrize_in_place,
     sector_basis,
 )
 
@@ -85,6 +86,16 @@ def test_goe_is_the_mean_of_the_draw_and_its_transpose(n, seed):
     expected = (raw + raw.T) / 2.0
     assert np.array_equal(sample_goe(n, seed, stream=6).H.view(np.uint64),
                           expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 129, 300])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_symmetrize_in_place_is_the_mean_with_the_transpose(n, order):
+    raw = np.array(np.random.default_rng(n).standard_normal((n, n)),
+                   order=order)
+    expected = (raw + raw.T) / 2.0
+    assert symmetrize_in_place(raw) is raw
+    assert np.array_equal(raw.view(np.uint64), expected.view(np.uint64))
 
 
 def test_goe_draw_holds_one_matrix():

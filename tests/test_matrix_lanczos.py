@@ -309,10 +309,9 @@ def test_overwrite_h_gives_the_default_coefficients(monkeypatch, crossover,
         assert lc.K == expected.K
         assert np.array_equal(lc.a, expected.a)
         assert np.array_equal(lc.b, expected.b)
-        # a basis-vector start swaps and reduces the caller's array; the
-        # reflector route builds its own, and e0 at depth 1 reduces nothing
-        untouched = start_kind == "general" \
-            or (start_kind == "e0" and depth == 1)
+        # the swap or the reflector, and the reduction, run on the caller's
+        # array; only e0 at depth 1 neither rotates nor reduces anything
+        untouched = start_kind == "e0" and depth == 1
         assert np.array_equal(buffer, ham) == untouched
 
 
@@ -390,6 +389,48 @@ def test_in_place_reduction_holds_one_matrix():
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * matrix_bytes, depth
+
+
+@pytest.mark.parametrize("n", [3, 129, 300])
+def test_reflector_route_reduces_the_out_of_place_rotation(n):
+    # the banded rank-2 update and the tiled symmetrization give P H P
+    # bit for bit as the out-of-place expression of the same update
+    ham, start = random_symmetric(n, seed=81)
+    v = start.copy()
+    v[0] += 1.0 if start[0] >= 0 else -1.0
+    hv = ham @ v
+    alpha = 2.0 / (v @ v)
+    u = alpha * hv - alpha * alpha / 2.0 * (v @ hv) * v
+    rotated = ham - np.outer(u, v) - np.outer(v, u)
+    rotated = (rotated + rotated.T) / 2.0
+    for depth in (None, n // 2):
+        expected = householder_hessenberg(rotated, unit_vector(n, 0), depth)
+        lc = householder_hessenberg(ham, start, depth)
+        assert np.array_equal(lc.a, expected.a)
+        assert np.array_equal(lc.b, expected.b)
+
+
+def test_reflector_route_holds_one_matrix():
+    # a general psi0 rotates H in 128-row bands and symmetrizes it tile by
+    # tile, in the private copy or, with overwrite_h, in the caller's H
+    n = 1000
+    ham, start = random_symmetric(n, seed=80)
+    matrix_bytes = n * n * 8
+    for depth in (200, n):
+        peaks, results = {}, {}
+        for overwrite in (False, True):
+            buffer = ham.copy()
+            tracemalloc.start()
+            try:
+                results[overwrite] = householder_hessenberg(
+                    buffer, start, depth, overwrite_h=overwrite)
+                peaks[overwrite] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(results[True].a, results[False].a)
+        assert np.array_equal(results[True].b, results[False].b)
+        assert peaks[False] <= 1.2 * matrix_bytes, depth
+        assert peaks[True] <= 0.2 * matrix_bytes, depth
 
 
 def test_reduction_kernel_switches_at_the_crossover_order():
