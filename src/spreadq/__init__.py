@@ -19,7 +19,6 @@ from .errors import (
 from .models import (
     GaussianAutocorr,
     InterpolationAutocorr,
-    LdosSummary,
     SemicircleAutocorr,
     TruncatedQuadraticAutocorr,
     eval_autocorr,
@@ -31,7 +30,6 @@ from .models import (
 from .moment_lanczos import (
     LanczosCoefficients,
     MomentSequence,
-    hankel_matrix,
     lanczos_to_moments,
     moments_to_lanczos,
 )
@@ -41,7 +39,6 @@ from .hamiltonians import (
     StateVector,
     build_spin_sector,
     domain_wall_state,
-    ldos_summary,
     sample_goe,
     sector_basis,
 )

@@ -12,7 +12,7 @@ Configuration precedence: command-line flags override the JSON file given
 with ``--config``, which overrides the defaults each flag declares (shown by
 ``--help``).  A config-file value must have the type of its flag.  ``--out``
 must be absent or empty.  Exit codes: 0 on success, 2 for configuration
-errors, 3 for numerical failures.
+errors, 3 for numerical failures and for a ``MemoryError``.
 
 All randomness flows from the master ``--seed``; ensemble member r uses
 counter stream r, so member sets are reproducible and order-independent.
@@ -76,7 +76,7 @@ from .matrix_lanczos import (
 )
 from .models import eval_b2, model_from_dict, moments_of_model
 from .moment_lanczos import (
-    MAX_PRECISION_BITS,
+    MAX_START_BITS,
     LanczosCoefficients,
     moments_to_lanczos,
 )
@@ -397,9 +397,9 @@ def _cmd_model(config: dict) -> None:
     if bits is not None and variant != "interpolation":
         raise DomainError("--precision-bits applies to the interpolation "
                           "variant only")
-    if bits is not None and not 1 <= bits <= MAX_PRECISION_BITS:
+    if bits is not None and not 1 <= bits <= MAX_START_BITS:
         raise DomainError(f"--precision-bits must be an integer in "
-                          f"1..{MAX_PRECISION_BITS}, got {bits}")
+                          f"1..{MAX_START_BITS}, got {bits}")
     params = {"variant": variant}
     for key in ("sigma0", "alpha", "gamma"):
         if config[key] is not None:
@@ -567,7 +567,7 @@ def _cmd_spin(config: dict) -> None:
     def member(stream: int):
         # H is assembled, and checked, before the state is built
         return build_spin_sector(spec, stream=stream).H, \
-            domain_wall_state(spec)
+            domain_wall_state(spec).amplitudes
 
     def histograms(out, coefficient_sets, mean_lc) -> dict:
         stats = coefficient_stats(coefficient_sets)
@@ -675,7 +675,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, MemoryError) as exc:
         print(f"numerical error in {args.command!r} "
               f"[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3

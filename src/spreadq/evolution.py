@@ -1,11 +1,11 @@
 """Krylov-space time evolution and spread-complexity observables.
 
 ``eigendecompose`` is the one place that diagonalizes the tridiagonal
-coefficient matrix T (LAPACK ``dstevd``, bound in ``_lapack``).  Its
-``Spectrum`` feeds both ``evolve_amplitudes`` and ``long_time_average``, so
-a caller that needs both, like each ensemble member of the command line,
-diagonalizes T once; given ``LanczosCoefficients`` instead, each function
-diagonalizes T itself.  Amplitudes follow exactly:
+coefficient matrix T (LAPACK ``dstevd``, bound in ``_lapack``).  Every
+evolution function takes its ``Spectrum``, never the coefficients, so a
+caller that needs both the series and the averages, like each ensemble
+member of the command line, diagonalizes T once.  Amplitudes follow
+exactly:
 
     phi_n(t) = sum_k U_nk exp(-i lambda_k t) U_0k
 
@@ -180,10 +180,6 @@ def time_grid(values, sigma: float, points, tmax=None, log=True) \
     return np.linspace(0.0, tmax, points)
 
 
-def _spectrum(source) -> Spectrum:
-    return source if isinstance(source, Spectrum) else eigendecompose(source)
-
-
 def _checked_grid(times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
@@ -195,14 +191,9 @@ def _checked_grid(times) -> np.ndarray:
     return times
 
 
-def evolve_amplitudes(source, times) -> KrylovAmplitudes:
-    """Solve the discrete Schrodinger equation on the given time grid.
-
-    ``source`` is a ``Spectrum`` or the ``LanczosCoefficients`` to
-    diagonalize.
-    """
+def evolve_amplitudes(spectrum: Spectrum, times) -> KrylovAmplitudes:
+    """Solve the discrete Schrodinger equation on the given time grid."""
     times = _checked_grid(times)
-    spectrum = _spectrum(source)
     vecs = spectrum.vectors
     # U_0k is a strided row of the F-ordered vectors; read it once
     u0 = vecs[0].copy()
@@ -229,16 +220,11 @@ def spread_complexity(amp: KrylovAmplitudes) -> SpreadComplexitySeries:
     return SpreadComplexitySeries(times=amp.times, C=spread, F=survival)
 
 
-def spread_series(source, times) -> SpreadComplexitySeries:
+def spread_series(spectrum: Spectrum, times) -> SpreadComplexitySeries:
     """C(t) and F(t) on the whole grid, evolved TIME_SLAB_ROWS rows at a
-    time: ``spread_complexity(evolve_amplitudes(source, times))`` without
-    its len(times) x K block.
-
-    ``source`` is a ``Spectrum`` or the ``LanczosCoefficients`` to
-    diagonalize.
-    """
+    time: ``spread_complexity(evolve_amplitudes(spectrum, times))`` without
+    its len(times) x K block."""
     times = _checked_grid(times)
-    spectrum = _spectrum(source)
     slabs = [spread_complexity(evolve_amplitudes(
         spectrum, times[lo:lo + TIME_SLAB_ROWS]))
         for lo in range(0, times.size, TIME_SLAB_ROWS)]
@@ -253,13 +239,8 @@ def _degenerate_block_starts(lam: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], boundaries + 1])
 
 
-def long_time_average(source) -> LongTimeAverages:
-    """Infinite-time averages of C and F with degenerate levels merged.
-
-    ``source`` is a ``Spectrum`` or the ``LanczosCoefficients`` to
-    diagonalize.
-    """
-    spectrum = _spectrum(source)
+def long_time_average(spectrum: Spectrum) -> LongTimeAverages:
+    """Infinite-time averages of C and F with degenerate levels merged."""
     vecs = spectrum.vectors
     bounds = np.append(_degenerate_block_starts(spectrum.values), spectrum.K)
     merged = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])

@@ -37,12 +37,11 @@ second one, so a member that is reduced in place
 (``householder_hessenberg(..., overwrite_h=True)``) holds n^2 doubles.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssemblyError, DomainError, NormalizationError
-from .models import LdosSummary
 
 MAX_CHAIN_SITES = 20
 # edge of the square tiles that is_symmetric compares pairwise
@@ -124,33 +123,17 @@ class SpinChainSpec:
 
 @dataclass
 class SectorHamiltonian:
-    """Dense real symmetric Hamiltonian with its basis labels.
-
-    ``basis`` holds up-spin bitmasks for spin chains and plain indices for
-    GOE matrices.  ``meta`` records provenance (seed, parameters).  H must
-    be symmetric bit-exactly (``is_symmetric``); otherwise construction
-    raises ``DomainError``.
-    """
+    """Dense real Hamiltonian ``H``, square and symmetric bit-exactly
+    (``is_symmetric``); otherwise construction raises ``DomainError``."""
 
     H: np.ndarray
-    basis: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=float)
-        self.basis = np.asarray(self.basis)
         if self.H.ndim != 2 or self.H.shape[0] != self.H.shape[1]:
             raise DomainError(f"H must be square, got shape {self.H.shape}")
-        if len(self.basis) != self.H.shape[0]:
-            raise DomainError(
-                f"basis length {len(self.basis)} does not match "
-                f"dimension {self.H.shape[0]}")
         if not is_symmetric(self.H):
             raise DomainError("H must be symmetric bit-exactly")
-
-    @property
-    def dimension(self) -> int:
-        return self.H.shape[0]
 
 
 @dataclass
@@ -168,10 +151,6 @@ class StateVector:
             raise NormalizationError(
                 f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.shape[0]
-
 
 def sample_goe(n: int, seed: int, stream: int = 0) -> SectorHamiltonian:
     """Draw one GOE matrix: off-diagonal variance 1/2, diagonal variance 1.
@@ -183,10 +162,7 @@ def sample_goe(n: int, seed: int, stream: int = 0) -> SectorHamiltonian:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {n}")
     gen = _generator(seed, stream)
-    ham = symmetrize_in_place(gen.standard_normal((n, n)))
-    meta = {"kind": "goe", "n": int(n), "seed": int(seed),
-            "stream": int(stream)}
-    return SectorHamiltonian(ham, np.arange(n), meta)
+    return SectorHamiltonian(symmetrize_in_place(gen.standard_normal((n, n))))
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
@@ -213,8 +189,9 @@ def build_spin_sector(spec: SpinChainSpec, stream: int = 0) \
         -> SectorHamiltonian:
     """Assemble H = H0 + g V on the Sz = 0 sector of the chain.
 
-    The assembly is checked once, by ``SectorHamiltonian``, and an
-    asymmetric result raises ``AssemblyError``.
+    The fields h_1..h_L are the one draw ``uniform(-h, h, L)`` of
+    ``Philox(key=[seed, stream])``.  The assembly is checked once, by
+    ``SectorHamiltonian``, and an asymmetric result raises ``AssemblyError``.
     """
     L = spec.L
     basis = sector_basis(L)
@@ -236,13 +213,10 @@ def build_spin_sector(spec: SpinChainSpec, stream: int = 0) \
         ham[rows, cols] += spec.g * 0.5
     ham[np.arange(dim), np.arange(dim)] = diag
 
-    meta = {"kind": "spin_chain", "L": int(L), "h": float(spec.h),
-            "g": float(spec.g), "seed": int(spec.seed),
-            "stream": int(stream), "fields": fields_h.tolist()}
     try:
-        return SectorHamiltonian(ham, basis, meta)
+        return SectorHamiltonian(ham)
     except DomainError:
-        # square and as long as its basis: only the symmetry check can fail
+        # square by construction: only the symmetry check can fail
         raise AssemblyError(
             "sector assembly produced an asymmetric matrix") from None
 
@@ -261,11 +235,10 @@ def domain_wall_state(spec: SpinChainSpec) -> StateVector:
 
 
 def matrix_and_state(ham, psi0):
-    """``(H, psi0)``, each a ``SectorHamiltonian``/``StateVector`` or an
-    array, as a real square matrix and a real unit vector of its order."""
-    matrix = ham.H if isinstance(ham, SectorHamiltonian) else np.asarray(ham)
-    vec = psi0.amplitudes if isinstance(psi0, StateVector) \
-        else np.asarray(psi0)
+    """The arrays ``(H, psi0)``, checked to be a real square matrix and a
+    real unit vector of its order."""
+    matrix = np.asarray(ham)
+    vec = np.asarray(psi0)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise DomainError(f"H must be square, got shape {matrix.shape}")
     if vec.shape != (matrix.shape[0],):
@@ -279,15 +252,3 @@ def matrix_and_state(ham, psi0):
         raise NormalizationError(
             f"psi0 norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return matrix, vec
-
-
-def ldos_summary(ham, psi0):
-    """Mean and variance of the LDOS from two matrix-vector products."""
-    matrix, vec = matrix_and_state(ham, psi0)
-    hpsi = matrix @ vec
-    e0 = float(vec @ hpsi)
-    second = float(hpsi @ hpsi)
-    var = second - e0 ** 2
-    if var < 0:
-        var = 0.0
-    return LdosSummary(e0=e0, sigma0=math.sqrt(var))

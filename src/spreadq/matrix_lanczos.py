@@ -84,6 +84,10 @@ def lanczos_tridiagonalize(ham, psi0, K: int, return_basis: bool = False):
     Returns ``LanczosCoefficients`` (and the Krylov basis as a ``(k, n)``
     array when ``return_basis`` is set).  Terminates early at Krylov-space
     exhaustion, reporting the actual depth.
+
+    An oracle with its own algorithm: no command calls it, and the tests of
+    ``test_matrix_lanczos.py`` and ``test_acceptance.py::test_03`` hold
+    ``householder_hessenberg`` to it.
     """
     matrix, start = matrix_and_state(ham, psi0)
     n = matrix.shape[0]

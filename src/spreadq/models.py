@@ -98,14 +98,6 @@ _VARIANTS = {
 }
 
 
-@dataclass(frozen=True)
-class LdosSummary:
-    """Mean and width of a local density of states (E0 and sigma0 = b_1)."""
-
-    e0: float
-    sigma0: float
-
-
 def _require_positive(name: str, value) -> None:
     if not (np.isscalar(value) and math.isfinite(value) and value > 0):
         raise DomainError(f"{name} must be a finite positive number, "
@@ -146,7 +138,9 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
 
 def eval_autocorr(model: AmplitudeModel, t):
     """Return amplitude S(t) of an amplitude model (scalar or array t);
-    any other object raises ``VariantError``."""
+    any other object raises ``VariantError``.  An oracle in closed form: no
+    command calls it; the Krylov-edge test of ``test_cli.py`` and the
+    resummation test of ``test_models.py`` hold ``model`` to it."""
     arr, scalar = _time_array(t)
     if isinstance(model, GaussianAutocorr):
         out = np.exp(-0.5 * model.sigma0**2 * arr**2)
@@ -193,6 +187,8 @@ def eval_frm_sp(dim: int, t, include_form_factor: bool = True):
     ``include_form_factor=False`` drops the B_2 term; the resulting curve
     never dips below its own infinite-time limit (no correlation hole).
     ``F(0) = 1`` exactly and ``F(t) -> 3/(dim+2)`` as ``t -> infinity``.
+    An oracle in closed form: no command calls it; ``test_models.py`` pins
+    it and ``test_acceptance.py::test_06`` fits its decay exponent.
     """
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise DomainError(f"dim must be an integer >= 2, got {dim}")

@@ -56,6 +56,10 @@ EXHAUSTION_RTOL = 1e-24
 # Hard ceiling for the automatic precision escalation.
 MAX_PRECISION_BITS = 1 << 14
 
+# Highest starting precision: a result needs two agreeing levels, and the
+# second, twice the first, must stay within the ceiling.
+MAX_START_BITS = MAX_PRECISION_BITS // 2
+
 # Smallest positive normal float: a b_n^2 below it loses digits when it
 # is rounded to a float before its root is taken.
 FLOAT_TINY = float(np.finfo(float).tiny)
@@ -91,9 +95,6 @@ class MomentSequence:
             ok = abs(float(mu0) - 1.0) <= 1e-12
         if not ok:
             raise DomainError(f"mu_0 must be 1 (normalized state), got {mu0}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=float)
 
 
 @dataclass
@@ -252,10 +253,11 @@ def _convert(moments: MomentSequence, K, formal,
     import mpmath
 
     prec = max(128, 12 * K, moments.precision_bits or 0, precision_bits or 0)
-    if prec > MAX_PRECISION_BITS:
+    if prec > MAX_START_BITS:
         raise DomainError(
-            f"working precision floor {prec} bits exceeds the ceiling of "
-            f"{MAX_PRECISION_BITS} bits")
+            f"working precision floor {prec} bits leaves no second level "
+            f"below the ceiling of {MAX_PRECISION_BITS} bits (at most "
+            f"{MAX_START_BITS} bits)")
     prev = None
     while prec <= MAX_PRECISION_BITS:
         try:
@@ -316,7 +318,8 @@ def moments_to_lanczos(moments, K: int, precision_bits: int | None = None,
         If some ``b_n^2 < 0`` and ``formal`` is not set.
     DomainError
         If the floating route's starting precision (``12 K`` bits or a
-        precision floor) already exceeds ``MAX_PRECISION_BITS``.
+        precision floor) exceeds ``MAX_START_BITS``, so that no second
+        level could confirm the first.
     PrecisionError
         If precision escalation hits its ceiling without convergence.
     """
@@ -340,6 +343,10 @@ def lanczos_to_moments(lc: LanczosCoefficients, order: int) -> MomentSequence:
     ``lc`` (floats are dyadic rationals).  For formal coefficient sets the
     sign convention of ``LanczosCoefficients`` is honoured, which makes
     this the exact inverse of ``moments_to_lanczos(..., formal=True)``.
+
+    An oracle with its own algorithm: no command calls it, and the
+    round-trip tests of ``test_moment_lanczos.py`` hold
+    ``moments_to_lanczos`` to it.
     """
     if not isinstance(order, (int, np.integer)) or order < 0:
         raise DomainError(f"order must be a non-negative integer, got {order}")
@@ -363,14 +370,3 @@ def lanczos_to_moments(lc: LanczosCoefficients, order: int) -> MomentSequence:
         v = w
         mu.append(v[0])
     return MomentSequence(tuple(mu), precision_bits=None)
-
-
-def hankel_matrix(moments, size: int) -> np.ndarray:
-    """Dense Hankel matrix ``[mu_(i+j)]`` of the given size (float64)."""
-    values = moments.values if isinstance(moments, MomentSequence) \
-        else tuple(moments)
-    if 2 * (size - 1) > len(values) - 1:
-        raise InsufficientMomentsError(
-            f"Hankel size {size} needs moments through order {2 * (size - 1)}")
-    return np.array([[float(values[i + j]) for j in range(size)]
-                     for i in range(size)], dtype=float)

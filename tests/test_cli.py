@@ -24,6 +24,7 @@ from spreadq import (
     LanczosCoefficients,
     LapackError,
     _lapack,
+    eigendecompose,
     eval_autocorr,
     evolve_amplitudes,
     matrix_lanczos,
@@ -110,8 +111,8 @@ def test_model_survival_is_the_closed_form_before_the_krylov_edge(
     assert spreadq.cli.main(argv) == 0
     _, a, b = read_coeffs(out / "coeffs.csv")
     t, _, f = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1).T
-    edge = np.abs(evolve_amplitudes(LanczosCoefficients(a, b[1:]), t)
-                  .phi[:, -1]) ** 2
+    spectrum = eigendecompose(LanczosCoefficients(a, b[1:]))
+    edge = np.abs(evolve_amplitudes(spectrum, t).phi[:, -1]) ** 2
     before = t[:np.argmax(edge > 1e-12)] if np.any(edge > 1e-12) else t
     assert before.size >= 100
     exact = eval_autocorr(model_from_dict(params), before) ** 2
@@ -451,6 +452,16 @@ def test_model_diagonalizes_once(tmp_path, eigensolve_calls):
     assert len(eigensolve_calls) == 1
 
 
+def test_spin_diagonalizes_each_member_once(tmp_path, eigensolve_calls):
+    # two L = 8 members (order 70), then the two of the L = 6 comparison
+    code = spreadq.cli.main(["spin", "--L", "8", "--h", "0.4",
+                             "--realizations", "2", "--compare-smaller",
+                             "--tpoints", "20", "--out",
+                             str(tmp_path / "run")])
+    assert code == 0
+    assert eigensolve_calls == [70, 70, 20, 20]
+
+
 def use_reduction(monkeypatch, kernel: str) -> None:
     """Make ``householder_hessenberg`` run the reduction ``kernel`` at every
     order, by moving the crossover of ``reduction_kernel``."""
@@ -691,9 +702,9 @@ def test_members_evolve_in_slabs_of_grid_rows(tmp_path, monkeypatch):
     kernel = evolution.evolve_amplitudes
     rows = []
 
-    def counted(source, times):
+    def counted(spectrum, times):
         rows.append(len(times))
-        return kernel(source, times)
+        return kernel(spectrum, times)
 
     monkeypatch.setattr(evolution, "evolve_amplitudes", counted)
     tpoints = 2 * evolution.TIME_SLAB_ROWS + 7
@@ -976,14 +987,31 @@ def test_model_k_1_skips_peak_plateau(tmp_path):
     assert "skipped" in fits["peak_plateau"]
 
 
-def test_precision_ceiling_exits_3_without_run_directory(tmp_path):
-    # a floor at the ceiling leaves no level to escalate to, so the
-    # recursion cannot confirm its result
-    proc = run_cli(*INTERPOLATION, "--precision-bits", "16384",
+@pytest.mark.parametrize("bits", ["8193", "16384"])
+def test_precision_floor_above_8192_exits_2_without_run_directory(tmp_path,
+                                                                  bits):
+    # a result needs two agreeing levels, and a floor above half the
+    # 16384-bit ceiling leaves room for one only: the floor is at fault
+    proc = run_cli(*INTERPOLATION, "--precision-bits", bits,
                    "--tpoints", "20", "--out", "never", cwd=tmp_path)
-    assert proc.returncode == 3, proc.stderr
-    assert "[PrecisionError]" in proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert "1..8192" in proc.stderr
     assert not (tmp_path / "never").exists()
+
+
+def test_memory_error_exits_3_without_run_directory(tmp_path, monkeypatch,
+                                                    capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate the series")
+
+    monkeypatch.setattr(spreadq.cli, "spread_series", exhausted)
+    out = tmp_path / "never"
+    assert spreadq.cli.main([*GAUSSIAN, "--tpoints", "20",
+                             "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error in 'model' [MemoryError]" in err
+    assert not out.exists()
 
 
 def test_goe_long_time_survival_matches_haar_law(tmp_path):

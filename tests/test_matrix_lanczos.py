@@ -24,7 +24,6 @@ from spreadq.hamiltonians import (
     SpinChainSpec,
     build_spin_sector,
     domain_wall_state,
-    ldos_summary,
     sample_goe,
 )
 from spreadq.matrix_lanczos import (
@@ -150,16 +149,16 @@ def test_moment_pipeline_consistency():
     np.testing.assert_allclose(lc_m.b, lc_l.b, atol=1e-8)
 
 
-def test_sigma0_equals_first_lanczos_coefficient():
+def test_sigma0_equals_first_lanczos_coefficient(ldos):
     spec = SpinChainSpec(L=8, h=0.6, g=1.0, seed=4)
-    sector = build_spin_sector(spec)
-    state = domain_wall_state(spec)
-    summary = ldos_summary(sector, state)
-    lc = lanczos_tridiagonalize(sector, state, 4)
-    assert abs(summary.sigma0 - lc.b[0]) < 1e-10
-    lc_h = householder_hessenberg(sector, state)
-    assert abs(summary.sigma0 - lc_h.b[0]) < 1e-10
-    assert summary.e0 == pytest.approx(lc.a[0], abs=1e-12)
+    ham = build_spin_sector(spec).H
+    state = domain_wall_state(spec).amplitudes
+    e0, sigma0 = ldos(ham, state)
+    lc = lanczos_tridiagonalize(ham, state, 4)
+    assert abs(sigma0 - lc.b[0]) < 1e-10
+    lc_h = householder_hessenberg(ham, state)
+    assert abs(sigma0 - lc_h.b[0]) < 1e-10
+    assert e0 == pytest.approx(lc.a[0], abs=1e-12)
 
 
 def test_block_decoupling_truncates_both_paths(norm_estimates):
@@ -194,23 +193,21 @@ def test_lanczos_without_small_residual_skips_norm_estimate(norm_estimates):
 
 def test_spin_chain_paths_agree_at_full_depth():
     spec = SpinChainSpec(L=8, h=0.4, g=1.0, seed=8)
-    sector = build_spin_sector(spec)
-    state = domain_wall_state(spec)
-    dim = sector.dimension
-    lc_l = lanczos_tridiagonalize(sector, state, dim)
-    lc_h = householder_hessenberg(sector, state)
+    ham = build_spin_sector(spec).H
+    state = domain_wall_state(spec).amplitudes
+    lc_l = lanczos_tridiagonalize(ham, state, ham.shape[0])
+    lc_h = householder_hessenberg(ham, state)
     assert lc_l.K == lc_h.K
     np.testing.assert_allclose(lc_h.a, lc_l.a, atol=1e-8)
     np.testing.assert_allclose(lc_h.b, lc_l.b, atol=1e-8)
 
 
-def test_goe_first_coefficient_matches_ldos_width():
-    sector = sample_goe(300, seed=13)
+def test_goe_first_coefficient_matches_ldos_width(ldos):
+    ham = sample_goe(300, seed=13).H
     e1 = np.zeros(300)
     e1[0] = 1.0
-    lc = householder_hessenberg(sector, e1)
-    assert lc.b[0] == pytest.approx(ldos_summary(sector, e1).sigma0,
-                                    abs=1e-10)
+    lc = householder_hessenberg(ham, e1)
+    assert lc.b[0] == pytest.approx(ldos(ham, e1)[1], abs=1e-10)
 
 
 def test_input_validation():

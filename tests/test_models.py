@@ -272,7 +272,7 @@ def test_moment_resummation_reproduces_autocorr():
         (InterpolationAutocorr(2.0, 0.5), 0.8 * 0.5 / (2 * 2.0 ** 2)),
     ]
     for model, tmax in cases:
-        mus = moments_of_model(model, order).as_array()
+        mus = np.array(moments_of_model(model, order).values, dtype=float)
         for t in np.linspace(0.0, tmax, 7):
             terms = [mus[n] * (-1j * t) ** n / math.factorial(n)
                      for n in range(order + 1)]

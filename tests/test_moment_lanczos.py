@@ -22,13 +22,14 @@ from spreadq import (
     LanczosCoefficients,
     MomentSequence,
     PositivityError,
+    PrecisionError,
     SemicircleAutocorr,
     TruncatedQuadraticAutocorr,
-    hankel_matrix,
     lanczos_to_moments,
     moments_of_model,
     moments_to_lanczos,
 )
+from spreadq.moment_lanczos import MAX_START_BITS
 
 # six-atom rational measure used for the cross-algorithm check
 PM_NODES = [Fraction(-3, 2), Fraction(-2, 3), Fraction(-1, 7),
@@ -92,7 +93,7 @@ def test_point_mass_roundtrip_is_exact_through_truncation_order():
     mu_in = point_mass_moments(16)
     lc = moments_to_lanczos(mu_in, 8)
     mu_out = lanczos_to_moments(lc, 2 * lc.K - 1)
-    got = mu_out.as_array()
+    got = np.array(mu_out.values, dtype=float)
     expected = np.array([float(m) for m in mu_in[:2 * lc.K]])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
@@ -140,7 +141,7 @@ def test_truncated_quadratic_formal_mode():
     np.testing.assert_allclose(lc.b, [sigma0, -sigma0], rtol=1e-14)
     # and the signed walk-sum inverts it exactly
     mu_back = lanczos_to_moments(lc, 6)
-    np.testing.assert_allclose(mu_back.as_array(),
+    np.testing.assert_allclose(np.array(mu_back.values, dtype=float),
                                [float(v) for v in mus.values[:7]],
                                rtol=1e-14, atol=1e-14)
 
@@ -159,7 +160,8 @@ def test_moment_sequence_validation():
         MomentSequence(())
     seq = MomentSequence((1, 0, 1))
     assert seq.values == (1, 0, 1)
-    np.testing.assert_array_equal(seq.as_array(), [1.0, 0.0, 1.0])
+    np.testing.assert_array_equal(np.array(seq.values, dtype=float),
+                                  [1.0, 0.0, 1.0])
 
 
 def test_insufficient_moments_rejected():
@@ -203,21 +205,11 @@ def test_lanczos_coefficients_validation():
     assert lanczos_to_moments(lc, 2).values == (1, 0, -1)
 
 
-def test_hankel_matrix_layout():
-    mus = [1, 0, 1, 0, 3, 0, 15]
-    hm = hankel_matrix(mus, 4)
-    expected = np.array([[1, 0, 1, 0], [0, 1, 0, 3],
-                         [1, 0, 3, 0], [0, 3, 0, 15]], dtype=float)
-    np.testing.assert_array_equal(hm, expected)
-    assert np.linalg.det(hm[:2, :2]) > 0
-    with pytest.raises(InsufficientMomentsError):
-        hankel_matrix(mus, 5)
-
-
 def test_hankel_detects_truncated_quadratic_failure():
     # leading 3x3 minor goes negative exactly where the recursion halts
-    mus = moments_of_model(TruncatedQuadraticAutocorr(1.0), 8)
-    hm = hankel_matrix(mus, 3)
+    mus = moments_of_model(TruncatedQuadraticAutocorr(1.0), 8).values
+    hm = np.array([[mus[i + j] for j in range(3)] for i in range(3)],
+                  dtype=float)
     assert np.linalg.det(hm[:2, :2]) > 0
     assert np.linalg.det(hm) < 0
 
@@ -235,6 +227,46 @@ def test_precision_floor_above_ceiling_is_domain_error():
     floats = [float(m) for m in point_mass_moments(16)]
     with pytest.raises(DomainError):
         moments_to_lanczos(floats, 8, precision_bits=1 << 15)
+
+
+def test_start_without_a_second_level_is_domain_error(recursion_calls):
+    # a result needs two agreeing levels: a start above half the ceiling
+    # leaves one, so it is refused before any recursion
+    floats = [float(m) for m in moments_of_model(GaussianAutocorr(1.0),
+                                                 16).values]
+    with pytest.raises(DomainError, match="no second level"):
+        moments_to_lanczos(floats, 8, precision_bits=MAX_START_BITS + 1)
+    # 12 K bits: K = 683 starts at 8196
+    deep = MomentSequence((1,) + (0,) * 1366, precision_bits=128)
+    with pytest.raises(DomainError, match="8196 bits"):
+        moments_to_lanczos(deep, 683)
+    assert recursion_calls == []
+    lc = moments_to_lanczos(floats, 8, precision_bits=MAX_START_BITS)
+    assert recursion_calls == [False, False]
+    np.testing.assert_allclose(lc.b, np.sqrt(np.arange(1, 8)), rtol=1e-14)
+
+
+def test_levels_that_never_agree_raise_precision_error(monkeypatch):
+    # every level perturbs the last b_n^2 differently, so no two agree
+    import mpmath
+
+    from spreadq import moment_lanczos
+
+    kernel = moment_lanczos._recursion
+    levels = []
+
+    def drifting(mu, K, formal, exact):
+        a, b2, violation = kernel(mu, K, formal, exact)
+        levels.append(mpmath.mp.prec)
+        b2[-1] *= 1 + len(levels) * 1e-3
+        return a, b2, violation
+
+    monkeypatch.setattr(moment_lanczos, "_recursion", drifting)
+    floats = [float(m) for m in moments_of_model(GaussianAutocorr(1.0),
+                                                 16).values]
+    with pytest.raises(PrecisionError, match="16384 bits"):
+        moments_to_lanczos(floats, 8)
+    assert levels == [128 << k for k in range(8)]
 
 
 @pytest.mark.parametrize("sigma0, gamma", [(1.2, 0.5), (0.8, 2.0)])
@@ -296,6 +328,7 @@ def test_roundtrip_reproduces_rational_point_mass_moments(atoms):
     K = len(atoms)
     mu = [sum(Fraction(w, total) * x**n for x, w in atoms)
           for n in range(2 * K + 1)]
-    back = lanczos_to_moments(moments_to_lanczos(mu, K), 2 * K).as_array()
+    back = lanczos_to_moments(moments_to_lanczos(mu, K), 2 * K).values
+    back = np.array(back, dtype=float)
     np.testing.assert_allclose(back, [float(m) for m in mu], rtol=1e-11,
                                atol=1e-12)
