@@ -48,14 +48,12 @@ from .matrix_lanczos import (
     spectral_norm_estimate,
 )
 from .evolution import (
-    KrylovAmplitudes,
     LongTimeAverages,
     Spectrum,
     SpreadComplexitySeries,
     eigendecompose,
     evolve_amplitudes,
     long_time_average,
-    spread_complexity,
     spread_series,
     time_grid,
 )

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, NotPowerLawError, WindowError
-from .evolution import SpreadComplexitySeries
-from .moment_lanczos import LanczosCoefficients
 
 CURVATURE_LIMIT = 0.5
 # envelope segments per decade of t in fit_decay_exponent
@@ -89,8 +87,7 @@ def _loglog_fit(x, y):
 
 
 def _coefficient_values(b):
-    values = b.b if isinstance(b, LanczosCoefficients) else np.asarray(
-        b, dtype=float)
+    values = np.asarray(b, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise FitError("need a one-dimensional, non-empty coefficient list")
     return values
@@ -245,8 +242,9 @@ def coefficient_stats(lc_list) -> RegimeStats:
         realizations=len(lc_list))
 
 
-def detect_peak_plateau(series: SpreadComplexitySeries) -> dict:
-    """Locate the complexity peak and the late-time plateau.
+def detect_peak_plateau(times, spread) -> dict:
+    """Locate the peak and the late-time plateau of C(t) = ``spread`` on
+    the ascending grid ``times``.
 
     The plateau is the mean of C over the final decade of the grid; the
     peak is the maximum before that window.  The series must extend at
@@ -254,8 +252,7 @@ def detect_peak_plateau(series: SpreadComplexitySeries) -> dict:
     (first crossing of 90% of the plateau level; the exact level is crossed
     arbitrarily late for smooth monotone saturation).
     """
-    times = series.times
-    spread = series.C
+    times, spread = (np.asarray(v, dtype=float) for v in (times, spread))
     if times.size < 8 or times[-1] <= 0:
         raise WindowError("series too short for plateau detection")
     t_max = times[-1]

@@ -58,7 +58,6 @@ from .errors import (
     WindowError,
 )
 from .evolution import (
-    SpreadComplexitySeries,
     eigendecompose,
     long_time_average,
     spread_series,
@@ -79,6 +78,7 @@ from .moment_lanczos import (
     MAX_START_BITS,
     LanczosCoefficients,
     moments_to_lanczos,
+    start_precision,
 )
 
 COEFFS_HEADER = "n,a_n,b_n"
@@ -361,10 +361,10 @@ def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
     _write_json(out / "manifest.json", manifest)
 
 
-def _peak_plateau_entry(series) -> dict:
+def _peak_plateau_entry(times, spread) -> dict:
     """Peak/plateau diagnostics; a too-short grid is reported, not fatal."""
     try:
-        return detect_peak_plateau(series)
+        return detect_peak_plateau(times, spread)
     except WindowError as exc:
         return {"skipped": str(exc)}
 
@@ -405,6 +405,9 @@ def _cmd_model(config: dict) -> None:
         if config[key] is not None:
             params[key] = config[key]
     model = model_from_dict(params)
+    if variant == "interpolation":
+        # refuse an out-of-reach depth before its moments are built
+        start_precision(depth, bits)
     moments = moments_of_model(model, 2 * depth)
     try:
         lc = moments_to_lanczos(moments, depth, precision_bits=bits,
@@ -429,13 +432,13 @@ def _cmd_model(config: dict) -> None:
         fits["b1"] = float(lc.b[0]) if lc.K > 1 else None
         # the default power-fit window (2, len(b)//2) needs 3 points
         if lc.K - 1 >= 8:
-            fits["bn_power"] = fit_bn_power(lc).to_dict()
+            fits["bn_power"] = fit_bn_power(lc.b).to_dict()
             if variant == "interpolation":
                 fits["bn_linear_origin"] = fit_bn_linear(
-                    lc, window=(1, lc.K - 1),
+                    lc.b, window=(1, lc.K - 1),
                     through_origin=True).to_dict()
         fits["long_time_average"] = {"C_bar": avg.c_bar, "F_bar": avg.f_bar}
-        fits["peak_plateau"] = _peak_plateau_entry(series)
+        fits["peak_plateau"] = _peak_plateau_entry(series.times, series.C)
     else:
         fits["note"] = ("formal coefficient set: negative b_n^2 carries "
                         "its sign into b_n and defines no Hermitian "
@@ -510,11 +513,9 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
     _write_table(out / "ensemble.csv", ENSEMBLE_HEADER, ens.times,
                  ens.mean_C, ens.mean_F, ens.stderr_C, ens.stderr_F)
 
-    mean_series = SpreadComplexitySeries(times=ens.times, C=ens.mean_C,
-                                         F=ens.mean_F)
     fits = {
         "b1_mean": float(mean_lc.b[0]),
-        "peak_plateau": _peak_plateau_entry(mean_series),
+        "peak_plateau": _peak_plateau_entry(ens.times, ens.mean_C),
         "long_time_average": {
             "C_bar": float(np.mean([avg.c_bar for avg in averages])),
             "F_bar": float(np.mean([avg.f_bar for avg in averages])),
@@ -541,7 +542,7 @@ def _cmd_frm(config: dict) -> None:
     def goe_profile(out, coefficient_sets, mean_lc) -> dict:
         window = (1, min(mean_lc.K - 1, dim - 20))
         try:
-            return {"goe_profile": fit_goe_profile(mean_lc, dim,
+            return {"goe_profile": fit_goe_profile(mean_lc.b, dim,
                                                    window=window).to_dict()}
         except WindowError as exc:
             # small dimensions leave too few points once the tail is dropped
@@ -619,14 +620,14 @@ def _cmd_fit(config: dict) -> None:
         except DomainError as exc:
             raise DomainError(f"{config['coeffs']}: {exc}") from exc
         if kind == "power":
-            result = fit_bn_power(lc, window=window)
+            result = fit_bn_power(lc.b, window=window)
         elif kind == "linear":
-            result = fit_bn_linear(lc, window=window,
+            result = fit_bn_linear(lc.b, window=window,
                                    through_origin=config["origin"])
         else:
             dim = _check_positive_int(
                 "--dim", _require(config, "dim", "--dim"), minimum=2)
-            result = fit_goe_profile(lc, dim, window=window)
+            result = fit_goe_profile(lc.b, dim, window=window)
         source = config["coeffs"]
 
     out = _out_dir(config)

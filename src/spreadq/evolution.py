@@ -14,18 +14,18 @@ real part and one on sin(lambda_k t) U_0k for the imaginary part.  No
 time-stepping error enters; each grid point is independent, so the
 evolution is unitary up to eigensolver roundoff at every t.
 
-``spread_series`` is the one caller of that rule on a whole grid: it
-checks the grid once, then evolves and reduces TIME_SLAB_ROWS grid rows
-at a time, so a member holds one slab of amplitudes, not len(times) x K,
-whatever the grid's length.  The slab is a row count with a floor.  Each
-GEMM call repacks the K x K eigenvectors, so small slabs cost time: on 2
-cores with OpenBLAS 0.3.31, a 600-point grid at K=3432 took 0.80 s in
-38-row slabs (1 MiB), 0.55 s in 200-row slabs and 0.45 s whole.  And
-OpenBLAS splits a GEMM's rows over its threads, with a row's last bits
-following the split: 75-, 150- and 300-row slabs moved C at K=3432 by up
-to 1.2e-15 relative, while 200-row slabs reproduced that grid's whole
-series bit for bit at K=1000 and K=3432.  A byte rule, such as 2 MiB,
-would give 75-row slabs at K=3432.
+``spread_series`` is the one reducer of amplitudes.  It checks the grid
+once and evolves TIME_SLAB_ROWS grid rows at a time, so a member holds one
+slab of amplitudes, not len(times) x K, whatever the grid's length; the
+slab's weights |phi_n|^2, formed once, give the unitarity check, C and F.
+The slab is a row count with a floor.  Each GEMM call repacks the K x K
+eigenvectors, so small slabs cost time: on 2 cores with OpenBLAS 0.3.31, a
+600-point grid at K=3432 took 0.80 s in 38-row slabs (1 MiB), 0.55 s in
+200-row slabs and 0.45 s whole.  And OpenBLAS splits a GEMM's rows over its
+threads, with a row's last bits following the split: 75-, 150- and 300-row
+slabs moved C at K=3432 by up to 1.2e-15 relative, while 200-row slabs
+reproduced that grid's whole series bit for bit at K=1000 and K=3432.  A
+byte rule, such as 2 MiB, would give 75-row slabs at K=3432.
 
 Infinite-time averages use the eigenbasis overlaps.  Eigenvalues closer
 than 1e-12 max|lambda| are merged into degenerate blocks first, with no
@@ -55,36 +55,6 @@ AVERAGE_COLUMN_SLAB = 64
 HEISENBERG_MULTIPLE = 20.0
 # grid rows evolved at once by spread_series (see the module docstring)
 TIME_SLAB_ROWS = 200
-
-
-@dataclass
-class KrylovAmplitudes:
-    """Amplitudes ``phi[i, n]`` of Krylov vector n at ``times[i]``."""
-
-    times: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.phi = np.asarray(self.phi, dtype=complex)
-        if self.times.ndim != 1 or self.phi.ndim != 2 \
-                or self.phi.shape[0] != self.times.size:
-            raise DomainError("phi must have shape (len(times), K)")
-        norms = np.sum(np.abs(self.phi) ** 2, axis=1)
-        worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-        if worst > UNITARITY_ATOL:
-            raise NumericalError(
-                f"amplitude normalization off by {worst:.3e}")
-        at_zero = self.times == 0.0
-        if np.any(at_zero):
-            start = np.zeros(self.phi.shape[1])
-            start[0] = 1.0
-            if np.max(np.abs(self.phi[at_zero] - start)) > UNITARITY_ATOL:
-                raise NumericalError("phi(0) must be the first unit vector")
-
-    @property
-    def depth(self) -> int:
-        return self.phi.shape[1]
 
 
 @dataclass
@@ -180,20 +150,9 @@ def time_grid(values, sigma: float, points, tmax=None, log=True) \
     return np.linspace(0.0, tmax, points)
 
 
-def _checked_grid(times) -> np.ndarray:
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size == 0:
-        raise DomainError("empty time grid")
-    if not np.all(np.isfinite(times)):
-        raise DomainError("time grid must be finite")
-    if np.any(np.diff(times) < 0):
-        raise DomainError("time grid must be ascending")
-    return times
-
-
-def evolve_amplitudes(spectrum: Spectrum, times) -> KrylovAmplitudes:
-    """Solve the discrete Schrodinger equation on the given time grid."""
-    times = _checked_grid(times)
+def evolve_amplitudes(spectrum: Spectrum, times) -> np.ndarray:
+    """Amplitudes ``phi[i, n]`` of Krylov vector n at ``times[i]``, a
+    (len(times), K) complex array; ``spread_series`` checks the grid."""
     vecs = spectrum.vectors
     # U_0k is a strided row of the F-ordered vectors; read it once
     u0 = vecs[0].copy()
@@ -204,33 +163,41 @@ def evolve_amplitudes(spectrum: Spectrum, times) -> KrylovAmplitudes:
     np.sin(angles, out=angles)
     angles *= -u0
     phi.imag = angles @ vecs.T
-    return KrylovAmplitudes(times=times, phi=phi)
-
-
-def spread_complexity(amp: KrylovAmplitudes) -> SpreadComplexitySeries:
-    """C(t) = sum_n n |phi_n|^2 and F(t) = |phi_0|^2."""
-    # the amplitudes passed their normalization check on construction
-    weights = np.abs(amp.phi) ** 2
-    spread = weights @ np.arange(amp.depth)
-    survival = weights[:, 0].copy()
-    # phi(0) is the first unit vector up to rounding; pin the exact values
-    at_zero = amp.times == 0.0
-    spread[at_zero] = 0.0
-    survival[at_zero] = 1.0
-    return SpreadComplexitySeries(times=amp.times, C=spread, F=survival)
+    return phi
 
 
 def spread_series(spectrum: Spectrum, times) -> SpreadComplexitySeries:
-    """C(t) and F(t) on the whole grid, evolved TIME_SLAB_ROWS rows at a
-    time: ``spread_complexity(evolve_amplitudes(spectrum, times))`` without
-    its len(times) x K block."""
-    times = _checked_grid(times)
-    slabs = [spread_complexity(evolve_amplitudes(
-        spectrum, times[lo:lo + TIME_SLAB_ROWS]))
-        for lo in range(0, times.size, TIME_SLAB_ROWS)]
-    return SpreadComplexitySeries(
-        times=times, C=np.concatenate([slab.C for slab in slabs]),
-        F=np.concatenate([slab.F for slab in slabs]))
+    """C(t) = sum_n n |phi_n|^2 and F(t) = |phi_0|^2 on an ascending, finite
+    grid, from checked slabs of TIME_SLAB_ROWS rows of amplitudes."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.size == 0:
+        raise DomainError("empty time grid")
+    if not np.all(np.isfinite(times)):
+        raise DomainError("time grid must be finite")
+    if np.any(np.diff(times) < 0):
+        raise DomainError("time grid must be ascending")
+    spread, survival = np.empty(times.size), np.empty(times.size)
+    for lo in range(0, times.size, TIME_SLAB_ROWS):
+        rows = slice(lo, lo + TIME_SLAB_ROWS)
+        phi = evolve_amplitudes(spectrum, times[rows])
+        weights = np.abs(phi)
+        weights **= 2
+        worst = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
+        if worst > UNITARITY_ATOL:
+            raise NumericalError(
+                f"amplitude normalization off by {worst:.3e}")
+        off_e0 = np.abs(phi[times[rows] == 0.0] - np.eye(1, spectrum.K))
+        if off_e0.max(initial=0.0) > UNITARITY_ATOL:
+            raise NumericalError("phi(0) must be the first unit vector")
+        spread[rows] = weights @ np.arange(spectrum.K)
+        survival[rows] = weights[:, 0]
+        # free the slab before the next one is evolved: one slab at a time
+        del phi, weights
+    # phi(0) is the first unit vector up to rounding; pin the exact values
+    at_zero = times == 0.0
+    spread[at_zero] = 0.0
+    survival[at_zero] = 1.0
+    return SpreadComplexitySeries(times=times, C=spread, F=survival)
 
 
 def _degenerate_block_starts(lam: np.ndarray) -> np.ndarray:

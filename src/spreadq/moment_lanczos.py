@@ -234,10 +234,23 @@ def _mpf(value):
     return value if isinstance(value, mpmath.mpf) else mpmath.mpf(value)
 
 
+def start_precision(K: int, *floors) -> int:
+    """Starting bits of the ``mpmath`` route at depth ``K``:
+    ``max(128, 12 K, floors)``, ``None`` floors ignored.  ``DomainError``
+    above MAX_START_BITS, before any moment or recursion is computed."""
+    prec = max(128, 12 * K, *(floor or 0 for floor in floors))
+    if prec > MAX_START_BITS:
+        raise DomainError(
+            f"working precision floor {prec} bits leaves no second level "
+            f"below the ceiling of {MAX_PRECISION_BITS} bits (at most "
+            f"{MAX_START_BITS} bits)")
+    return prec
+
+
 def _convert(moments: MomentSequence, K, formal,
              precision_bits=None) -> LanczosCoefficients:
     """Exact recursion for rationals with ``precision_bits=None``, else
-    ``mpmath`` from ``max(128, 12 K, both precision floors)`` bits up."""
+    ``mpmath`` from ``start_precision`` bits up."""
     mu = moments.values
     if moments.precision_bits is None and all(isinstance(v, Rational)
                                               for v in mu):
@@ -252,12 +265,7 @@ def _convert(moments: MomentSequence, K, formal,
     # levels report it at the same depth; otherwise it is retried.
     import mpmath
 
-    prec = max(128, 12 * K, moments.precision_bits or 0, precision_bits or 0)
-    if prec > MAX_START_BITS:
-        raise DomainError(
-            f"working precision floor {prec} bits leaves no second level "
-            f"below the ceiling of {MAX_PRECISION_BITS} bits (at most "
-            f"{MAX_START_BITS} bits)")
+    prec = start_precision(K, moments.precision_bits, precision_bits)
     prev = None
     while prec <= MAX_PRECISION_BITS:
         try:

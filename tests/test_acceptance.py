@@ -19,7 +19,6 @@ from spreadq import (
     InterpolationAutocorr,
     SemicircleAutocorr,
     SpinChainSpec,
-    SpreadComplexitySeries,
     TruncatedQuadraticAutocorr,
     build_spin_sector,
     detect_peak_plateau,
@@ -39,7 +38,7 @@ from spreadq import (
     moments_to_lanczos,
     sample_goe,
     sector_basis,
-    spread_complexity,
+    spread_series,
     time_grid,
 )
 from spreadq.errors import DomainError, PositivityError
@@ -66,11 +65,9 @@ def saturation_grid(lc, points: int) -> np.ndarray:
 
 
 def mean_spread_series(members: dict, times: np.ndarray):
-    ens = ensemble_average([spread_complexity(evolve_amplitudes(
-        eigendecompose(members[stream]), times))
+    return ensemble_average([spread_series(
+        eigendecompose(members[stream]), times)
         for stream in sorted(members)])
-    return ens, SpreadComplexitySeries(times=ens.times, C=ens.mean_C,
-                                       F=ens.mean_F)
 
 
 @pytest.fixture(scope="module")
@@ -79,15 +76,15 @@ def goe_data():
     streams = list(range(realizations))
     members = {s: build_goe_member(dim, s) for s in streams}
     times = saturation_grid(members[0], points=600)
-    ens, mean_series = mean_spread_series(members, times)
+    ens = mean_spread_series(members, times)
     return {
         "dim": dim,
         "members": members,
         "mean_a": np.mean([members[s].a for s in streams], axis=0),
         "mean_b": np.mean([members[s].b for s in streams], axis=0),
         "times": times,
-        "mean_series": mean_series,
-        "peak_plateau": detect_peak_plateau(mean_series),
+        "mean_series": ens,
+        "peak_plateau": detect_peak_plateau(ens.times, ens.mean_C),
         "c_bar_mean": float(np.mean(
             [long_time_average(eigendecompose(members[s])).c_bar
              for s in streams])),
@@ -99,13 +96,13 @@ def spin_chaotic():
     streams = list(range(20))
     members = {s: build_spin_member(14, 0.4, s) for s in streams}
     times = saturation_grid(members[0], points=400)
-    ens, mean_series = mean_spread_series(members, times)
+    ens = mean_spread_series(members, times)
     return {
         "members": members,
         "var_a": float(np.mean([np.var(members[s].a) for s in streams])),
         "var_b": float(np.mean([np.var(members[s].b) for s in streams])),
-        "mean_series": mean_series,
-        "peak_plateau": detect_peak_plateau(mean_series),
+        "mean_series": ens,
+        "peak_plateau": detect_peak_plateau(ens.times, ens.mean_C),
     }
 
 
@@ -188,7 +185,7 @@ def test_05_goe_spread_complexity_shape(goe_data):
     # grid opens at t b1 = 0.01; the first half decade is deep quadratic
     early = series.times < 4 * series.times[0]
     slope = np.polyfit(np.log(series.times[early]),
-                       np.log(series.C[early]), 1)[0]
+                       np.log(series.mean_C[early]), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.02)
     report = goe_data["peak_plateau"]
     assert report["ratio"] > 1.02
@@ -219,7 +216,7 @@ def test_07_interpolation_slope_fits():
     for sigma0, target in ((2.0, 21.687), (1.2, 7.682)):
         model = InterpolationAutocorr(sigma0=sigma0, gamma=0.5)
         lc = moments_to_lanczos(moments_of_model(model, 24), 12)
-        fit = fit_bn_linear(lc, window=(1, 8), through_origin=True)
+        fit = fit_bn_linear(lc.b, window=(1, 8), through_origin=True)
         assert fit.params["slope"] == pytest.approx(target, rel=0.10)
         assert fit.window == (1, 8)
 
@@ -252,8 +249,7 @@ def test_09_early_time_universality(goe_data):
     }
     for name, lc in systems.items():
         t_probe = 0.01 / lc.b[0]
-        series = spread_complexity(
-            evolve_amplitudes(eigendecompose(lc), np.array([t_probe])))
+        series = spread_series(eigendecompose(lc), np.array([t_probe]))
         ratio = series.C[0] / (lc.b[0] * t_probe) ** 2
         assert 0.99 < ratio < 1.01, f"{name}: {ratio}"
 
@@ -268,10 +264,11 @@ def test_10_unitarity_and_initial_conditions(goe_data):
     }
     for name, lc in members.items():
         times = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 120)])
-        amp = evolve_amplitudes(eigendecompose(lc), times)
-        norms = np.sum(np.abs(amp.phi) ** 2, axis=1)
+        spectrum = eigendecompose(lc)
+        phi = evolve_amplitudes(spectrum, times)
+        norms = np.sum(np.abs(phi) ** 2, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-10)
-        series = spread_complexity(amp)
+        series = spread_series(spectrum, times)
         assert series.C[0] == 0.0, name
         assert series.F[0] == 1.0, name
 
@@ -295,7 +292,7 @@ def test_11_spin_chain_chaos_signatures(goe_data, spin_chaotic,
 
     series = spin_chaotic["mean_series"]
     report = spin_chaotic["peak_plateau"]
-    assert series.C[0] < 0.05 * report["C_plateau"]
+    assert series.mean_C[0] < 0.05 * report["C_plateau"]
     assert report["C_plateau"] > 0.0
     assert report["ratio"] < goe_data["peak_plateau"]["ratio"]
 

@@ -23,14 +23,6 @@ from spreadq.errors import FitError, NotPowerLawError, WindowError
 from spreadq.evolution import SpreadComplexitySeries
 
 
-def make_series(times, C, F=None):
-    C = np.asarray(C, dtype=float)
-    if F is None:
-        F = np.clip(1.0 - C / (C.max() + 1.0), 0.0, 1.0)
-    return SpreadComplexitySeries(times=np.asarray(times, dtype=float),
-                                  C=C, F=F)
-
-
 def test_power_fit_exact_square_root():
     b = np.sqrt(np.arange(1, 31))
     fit = fit_bn_power(b)
@@ -68,10 +60,10 @@ def test_linear_fit_with_and_without_origin():
     assert origin.residual_rms < 1e-12
 
 
-def test_linear_fit_accepts_coefficient_object():
+def test_linear_fit_of_a_coefficient_set_b_array():
     lc = LanczosCoefficients(a=np.zeros(6), b=2.5 * np.arange(1, 6.0),
                              physical=True)
-    fit = fit_bn_linear(lc, window=(1, 5), through_origin=True)
+    fit = fit_bn_linear(lc.b, window=(1, 5), through_origin=True)
     assert fit.params["slope"] == pytest.approx(2.5, rel=1e-14)
 
 
@@ -202,8 +194,7 @@ def test_histograms_match_numpy_fd_rule_bit_for_bit(kind):
 
 def test_plateau_monotone_saturation_ratio_one():
     t = np.geomspace(0.01, 200.0, 400)
-    series = make_series(t, 5.0 * (1.0 - np.exp(-t)))
-    result = detect_peak_plateau(series)
+    result = detect_peak_plateau(t, 5.0 * (1.0 - np.exp(-t)))
     assert result["ratio"] == pytest.approx(1.0, abs=0.01)
     assert result["C_plateau"] == pytest.approx(5.0, rel=0.01)
 
@@ -212,8 +203,7 @@ def test_plateau_detects_peak():
     t = np.geomspace(0.01, 500.0, 800)
     base = 4.0 * (1.0 - np.exp(-t))
     bump = 0.6 * np.exp(-((np.log(t) - np.log(3.0)) ** 2))
-    series = make_series(t, base + bump)
-    result = detect_peak_plateau(series)
+    result = detect_peak_plateau(t, base + bump)
     assert result["ratio"] > 1.1
     # bump centered at t=3 rides a rising baseline, shifting the maximum right
     assert 2.0 < result["t_peak"] < 8.0
@@ -223,20 +213,18 @@ def test_plateau_detects_peak():
 def test_plateau_rescaling_invariance():
     t = np.geomspace(0.01, 500.0, 800)
     c = 4.0 * (1.0 - np.exp(-t)) + 0.6 * np.exp(-np.log(t / 3.0) ** 2)
-    r1 = detect_peak_plateau(make_series(t, c))
-    r2 = detect_peak_plateau(make_series(100.0 * t, c))
+    r1 = detect_peak_plateau(t, c)
+    r2 = detect_peak_plateau(100.0 * t, c)
     assert r2["ratio"] == pytest.approx(r1["ratio"], rel=1e-12)
     assert r2["t_peak"] == pytest.approx(100.0 * r1["t_peak"], rel=1e-12)
 
 
 def test_plateau_rejects_short_series():
     t = np.geomspace(0.01, 2.0, 100)
-    series = make_series(t, 5.0 * (1.0 - np.exp(-t)))
     with pytest.raises(WindowError):
-        detect_peak_plateau(series)
+        detect_peak_plateau(t, 5.0 * (1.0 - np.exp(-t)))
     with pytest.raises(WindowError):
-        detect_peak_plateau(make_series(np.linspace(0, 1, 9),
-                                        np.linspace(0, 1, 9)))
+        detect_peak_plateau(np.linspace(0, 1, 9), np.linspace(0, 1, 9))
 
 
 def _noisy_run(seed, times):

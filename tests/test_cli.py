@@ -112,7 +112,7 @@ def test_model_survival_is_the_closed_form_before_the_krylov_edge(
     _, a, b = read_coeffs(out / "coeffs.csv")
     t, _, f = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1).T
     spectrum = eigendecompose(LanczosCoefficients(a, b[1:]))
-    edge = np.abs(evolve_amplitudes(spectrum, t).phi[:, -1]) ** 2
+    edge = np.abs(evolve_amplitudes(spectrum, t)[:, -1]) ** 2
     before = t[:np.argmax(edge > 1e-12)] if np.any(edge > 1e-12) else t
     assert before.size >= 100
     exact = eval_autocorr(model_from_dict(params), before) ** 2
@@ -998,6 +998,24 @@ def test_precision_floor_above_8192_exits_2_without_run_directory(tmp_path,
     assert "config error" in proc.stderr
     assert "1..8192" in proc.stderr
     assert not (tmp_path / "never").exists()
+
+
+def test_out_of_reach_depth_exits_2_before_building_moments(
+        tmp_path, monkeypatch, capsys):
+    # 12 K bits at K = 683 is 8196, above the 8192-bit start: the depth is
+    # refused before its 1366 exact moments are built
+    def never(*args, **kwargs):
+        raise AssertionError("moments_of_model was called")
+
+    monkeypatch.setattr(spreadq.cli, "moments_of_model", never)
+    out = tmp_path / "never"
+    assert spreadq.cli.main(["model", "--variant", "interpolation",
+                             "--sigma0", "1", "--gamma", "0.5", "--K", "683",
+                             "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: working precision floor 8196 bits leaves no second "
+        "level below the ceiling of 16384 bits (at most 8192 bits)\n")
+    assert not out.exists()
 
 
 def test_memory_error_exits_3_without_run_directory(tmp_path, monkeypatch,

@@ -16,14 +16,12 @@ from spreadq.evolution import (
     AVERAGE_COLUMN_SLAB,
     HEISENBERG_MULTIPLE,
     TIME_SLAB_ROWS,
-    KrylovAmplitudes,
     LongTimeAverages,
     Spectrum,
     SpreadComplexitySeries,
     eigendecompose,
     evolve_amplitudes,
     long_time_average,
-    spread_complexity,
     spread_series,
     time_grid,
 )
@@ -50,28 +48,30 @@ def gaussian_lc(sigma0, K):
 
 def test_two_level_analytic_solution():
     t = np.linspace(0.0, 6.0, 121)
-    amp = evolve_amplitudes(eigendecompose(two_level()), t)
-    np.testing.assert_allclose(amp.phi[:, 0], np.cos(t), atol=1e-14)
-    np.testing.assert_allclose(amp.phi[:, 1], -1j * np.sin(t), atol=1e-14)
-    series = spread_complexity(amp)
+    spectrum = eigendecompose(two_level())
+    phi = evolve_amplitudes(spectrum, t)
+    np.testing.assert_allclose(phi[:, 0], np.cos(t), atol=1e-14)
+    np.testing.assert_allclose(phi[:, 1], -1j * np.sin(t), atol=1e-14)
+    series = spread_series(spectrum, t)
     np.testing.assert_allclose(series.C, np.sin(t) ** 2, atol=1e-14)
     np.testing.assert_allclose(series.F, np.cos(t) ** 2, atol=1e-14)
 
 
 def test_initial_conditions():
     lc = gaussian_lc(1.0, 12)
-    amp = evolve_amplitudes(eigendecompose(lc), np.array([0.0, 0.5, 1.0]))
-    np.testing.assert_allclose(amp.phi[0, 0], 1.0, atol=1e-12)
-    np.testing.assert_allclose(amp.phi[0, 1:], 0.0, atol=1e-12)
-    series = spread_complexity(amp)
+    spectrum = eigendecompose(lc)
+    phi = evolve_amplitudes(spectrum, np.array([0.0, 0.5, 1.0]))
+    np.testing.assert_allclose(phi[0, 0], 1.0, atol=1e-12)
+    np.testing.assert_allclose(phi[0, 1:], 0.0, atol=1e-12)
+    series = spread_series(spectrum, np.array([0.0, 0.5, 1.0]))
     assert series.C[0] == pytest.approx(0.0, abs=1e-12)
     assert series.F[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unitarity_on_long_grid():
     lc = gaussian_lc(2.0, 40)
-    amp = evolve_amplitudes(eigendecompose(lc), np.geomspace(1e-3, 1e3, 400))
-    norms = np.sum(np.abs(amp.phi) ** 2, axis=1)
+    phi = evolve_amplitudes(eigendecompose(lc), np.geomspace(1e-3, 1e3, 400))
+    norms = np.sum(np.abs(phi) ** 2, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
@@ -84,12 +84,12 @@ def test_matches_full_space_evolution():
     psi0[0] = 1.0
     lc, basis = lanczos_tridiagonalize(ham, psi0, 8, return_basis=True)
     times = np.linspace(0.0, 12.0, 60)
-    amp = evolve_amplitudes(eigendecompose(lc), times)
+    phi = evolve_amplitudes(eigendecompose(lc), times)
     for i, t in enumerate(times):
         evolved = expm(-1j * ham * t) @ psi0
         projected = basis.conj() @ evolved
-        np.testing.assert_allclose(amp.phi[i], projected, atol=1e-9)
-        assert abs(abs(evolved[0]) ** 2 - abs(amp.phi[i, 0]) ** 2) < 1e-9
+        np.testing.assert_allclose(phi[i], projected, atol=1e-9)
+        assert abs(abs(evolved[0]) ** 2 - abs(phi[i, 0]) ** 2) < 1e-9
 
 
 @pytest.mark.parametrize("L", [8, 10])
@@ -117,8 +117,7 @@ def test_gaussian_early_time_quadratic():
     lc = gaussian_lc(sigma0, 60)
     b1 = lc.b[0]
     t_probe = 0.05 / b1
-    amp = evolve_amplitudes(eigendecompose(lc), np.array([t_probe]))
-    series = spread_complexity(amp)
+    series = spread_series(eigendecompose(lc), np.array([t_probe]))
     assert series.C[0] == pytest.approx(b1 ** 2 * t_probe ** 2, rel=0.01)
 
 
@@ -132,8 +131,7 @@ def test_early_time_universality_across_models():
     ]
     for lc in sets:
         t_probe = 0.01 / lc.b[0]
-        series = spread_complexity(evolve_amplitudes(eigendecompose(lc),
-                                                     np.array([t_probe])))
+        series = spread_series(eigendecompose(lc), np.array([t_probe]))
         ratio = series.C[0] / (lc.b[0] * t_probe) ** 2
         assert ratio == pytest.approx(1.0, rel=0.01)
 
@@ -150,8 +148,8 @@ def test_single_level_average_trivial():
     avg = long_time_average(spectrum)
     assert avg.f_bar == 1.0
     assert avg.c_bar == 0.0
-    amp = evolve_amplitudes(spectrum, np.linspace(0, 5, 11))
-    np.testing.assert_allclose(np.abs(amp.phi[:, 0]), 1.0, atol=1e-14)
+    phi = evolve_amplitudes(spectrum, np.linspace(0, 5, 11))
+    np.testing.assert_allclose(np.abs(phi[:, 0]), 1.0, atol=1e-14)
 
 
 def test_degenerate_levels_merged():
@@ -184,7 +182,7 @@ def test_time_average_converges_to_long_time_average():
     spectrum = eigendecompose(lanczos_tridiagonalize(ham, psi0, 9))
     avg = long_time_average(spectrum)
     times = np.linspace(200.0, 400.0, 4001)
-    series = spread_complexity(evolve_amplitudes(spectrum, times))
+    series = spread_series(spectrum, times)
     assert np.mean(series.C) == pytest.approx(avg.c_bar, rel=0.02)
     assert np.mean(series.F) == pytest.approx(avg.f_bar, rel=0.05)
 
@@ -199,11 +197,11 @@ def test_formal_coefficients_rejected():
 def test_time_grid_validation():
     spectrum = eigendecompose(two_level())
     with pytest.raises(DomainError):
-        evolve_amplitudes(spectrum, np.array([0.0, np.inf]))
+        spread_series(spectrum, np.array([0.0, np.inf]))
     with pytest.raises(DomainError):
-        evolve_amplitudes(spectrum, np.array([1.0, 0.5]))
+        spread_series(spectrum, np.array([1.0, 0.5]))
     with pytest.raises(DomainError):
-        evolve_amplitudes(spectrum, np.array([]))
+        spread_series(spectrum, np.array([]))
 
 
 def test_time_grid_ends_at_twenty_heisenberg_times():
@@ -250,24 +248,31 @@ def test_time_grid_rejects_bad_ends(points, tmax, log, message):
         time_grid(np.array([0.0, 1.0]), 2.0, points, tmax=tmax, log=log)
 
 
-def test_denormalized_amplitudes_rejected_on_construction():
-    # the one normalization check: spread_complexity relies on it
-    amp = evolve_amplitudes(eigendecompose(two_level()), np.linspace(0, 1, 5))
-    with pytest.raises(NumericalError, match="normalization"):
-        KrylovAmplitudes(times=amp.times, phi=amp.phi * 1.001)
+def test_spread_series_rejects_denormalized_amplitudes():
+    # the one normalization check, on each slab's weights: vectors scaled
+    # by 1.001 put every norm near 1.001^4 on a three-slab grid
+    spectrum = eigendecompose(gaussian_lc(1.0, 12))
+    scaled = Spectrum(spectrum.values, spectrum.vectors * 1.001)
+    times = np.linspace(0.0, 10.0, 450)
+    assert 2 * TIME_SLAB_ROWS < times.size <= 3 * TIME_SLAB_ROWS
+    spread_series(spectrum, times)
+    with pytest.raises(NumericalError,
+                       match="amplitude normalization off by 4.006e-03"):
+        spread_series(scaled, times)
 
 
-def test_krylov_amplitudes_validation():
-    with pytest.raises(NumericalError):
-        KrylovAmplitudes(times=np.array([0.0]),
-                         phi=np.array([[0.5, 0.5]], dtype=complex))
-    with pytest.raises(NumericalError):
-        # normalized but wrong t=0 row
-        KrylovAmplitudes(times=np.array([0.0]),
-                         phi=np.array([[0.0, 1.0]], dtype=complex))
-    with pytest.raises(DomainError):
-        KrylovAmplitudes(times=np.array([0.0, 1.0]),
-                         phi=np.ones((1, 2), dtype=complex))
+def test_spread_series_checks_phi_at_zero_in_any_slab():
+    # a degenerate pair keeps phi(t) = exp(-i lambda t) phi(0) normalized,
+    # but phi(0) = (1/2, sqrt(3)/2) is not the first unit vector; t = 0 is
+    # row 400, in the grid's third slab
+    s, c = 0.5, math.sqrt(3.0) / 2.0
+    spectrum = Spectrum(np.zeros(2), np.array([[s, s], [c, c]]))
+    times = np.linspace(-400.0, 49.0, 450)
+    assert times[400] == 0.0 and 400 >= 2 * TIME_SLAB_ROWS
+    series = spread_series(spectrum, times[:400])
+    np.testing.assert_allclose(series.F, 0.25, atol=1e-15)
+    with pytest.raises(NumericalError, match="first unit vector"):
+        spread_series(spectrum, times)
 
 
 def test_series_validation_and_bounds():
@@ -286,8 +291,7 @@ def test_series_validation_and_bounds():
 
 def test_series_csv_and_sidecar(tmp_path):
     spectrum = eigendecompose(two_level())
-    series = spread_complexity(evolve_amplitudes(spectrum,
-                                                 np.linspace(0, 2, 5)))
+    series = spread_series(spectrum, np.linspace(0, 2, 5))
     csv_path = tmp_path / "series.csv"
     cli._write_table(csv_path, cli.SERIES_HEADER, series.times, series.C,
                      series.F)
@@ -315,10 +319,10 @@ def test_real_split_evolution_matches_matrix_exponential():
                              b=gen.uniform(0.5, 1.5, K - 1), physical=True)
     tri = np.diag(lc.a) + np.diag(lc.b, 1) + np.diag(lc.b, -1)
     times = np.array([0.0, 0.3, 1.7, 6.0, 19.0])
-    amp = evolve_amplitudes(eigendecompose(lc), times)
+    phi = evolve_amplitudes(eigendecompose(lc), times)
     for i, t in enumerate(times):
         expected = expm(-1j * tri * t)[:, 0]
-        np.testing.assert_allclose(amp.phi[i], expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phi[i], expected, rtol=0, atol=1e-12)
 
 
 # three whole slabs and a ragged fourth; three and one row; five and none
@@ -335,11 +339,14 @@ def test_spread_series_matches_the_whole_grid_evolution(points, log):
                              b=gen.uniform(0.5, 1.5, K - 1), physical=True)
     spectrum = eigendecompose(lc)
     times = time_grid(spectrum.values, float(lc.b[0]), points, log=log)
-    whole = spread_complexity(evolve_amplitudes(spectrum, times))
+    # the whole grid's amplitudes reduced in one piece, t = 0 pinned
+    weights = np.abs(evolve_amplitudes(spectrum, times)) ** 2
+    whole_c, whole_f = weights @ np.arange(K), weights[:, 0]
+    whole_c[times == 0.0], whole_f[times == 0.0] = 0.0, 1.0
     series = spread_series(spectrum, times)
     assert np.array_equal(series.times, times)
-    np.testing.assert_allclose(series.C, whole.C, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(series.F, whole.F, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(series.C, whole_c, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(series.F, whole_f, rtol=1e-12, atol=0)
     if not log:
         assert series.C[0] == 0.0 and series.F[0] == 1.0
 
