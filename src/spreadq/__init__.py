@@ -6,14 +6,11 @@ from .errors import (
     EnsembleMemberError,
     FitError,
     FloatRangeError,
-    InsufficientMomentsError,
     LapackError,
-    NormalizationError,
     NotPowerLawError,
     NumericalError,
     PositivityError,
     PrecisionError,
-    VariantError,
     WindowError,
 )
 from .models import (
@@ -29,7 +26,6 @@ from .models import (
 )
 from .moment_lanczos import (
     LanczosCoefficients,
-    MomentSequence,
     lanczos_to_moments,
     moments_to_lanczos,
 )

@@ -323,6 +323,8 @@ def _read_table(path: str, header: str) -> np.ndarray:
         raise DomainError(f"{path}: not a readable {header} table ({exc})")
     if table.shape[1] != header.count(",") + 1:
         raise DomainError(f"{path}: {table.shape[1]} columns, not {header}")
+    if not np.all(np.isfinite(table)):
+        raise DomainError(f"{path}: a cell is not a finite number")
     return table
 
 
@@ -406,8 +408,9 @@ def _cmd_model(config: dict) -> None:
             params[key] = config[key]
     model = model_from_dict(params)
     if variant == "interpolation":
-        # refuse an out-of-reach depth before its moments are built
-        start_precision(depth, bits)
+        # the mpmath route, far faster than the exact one on these moments;
+        # an out-of-reach depth is refused before its moments are built
+        bits = start_precision(depth, bits)
     moments = moments_of_model(model, 2 * depth)
     try:
         lc = moments_to_lanczos(moments, depth, precision_bits=bits,

@@ -11,18 +11,6 @@ class DomainError(ValueError):
     """An input violates a documented precondition."""
 
 
-class VariantError(DomainError):
-    """A model variant was passed to an operation that does not accept it."""
-
-
-class InsufficientMomentsError(DomainError):
-    """Fewer moments were supplied than the requested Krylov depth needs."""
-
-
-class NormalizationError(DomainError):
-    """A state vector (or amplitude set) is not normalized."""
-
-
 class FloatRangeError(DomainError):
     """Inputs put a result outside the range of normal floats."""
 

@@ -182,12 +182,13 @@ def spread_series(spectrum: Spectrum, times) -> SpreadComplexitySeries:
         phi = evolve_amplitudes(spectrum, times[rows])
         weights = np.abs(phi)
         weights **= 2
+        # NaN-safe: phases that overflow at large t give NaN weights
         worst = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
-        if worst > UNITARITY_ATOL:
+        if not worst <= UNITARITY_ATOL:
             raise NumericalError(
                 f"amplitude normalization off by {worst:.3e}")
         off_e0 = np.abs(phi[times[rows] == 0.0] - np.eye(1, spectrum.K))
-        if off_e0.max(initial=0.0) > UNITARITY_ATOL:
+        if not off_e0.max(initial=0.0) <= UNITARITY_ATOL:
             raise NumericalError("phi(0) must be the first unit vector")
         spread[rows] = weights @ np.arange(spectrum.K)
         survival[rows] = weights[:, 0]

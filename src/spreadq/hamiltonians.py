@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssemblyError, DomainError, NormalizationError
+from .errors import AssemblyError, DomainError
 
 MAX_CHAIN_SITES = 20
 # edge of the square tiles that is_symmetric compares pairwise
@@ -148,7 +148,7 @@ class StateVector:
             raise DomainError("amplitudes must be one-dimensional")
         norm = np.linalg.norm(self.amplitudes)
         if abs(norm - 1.0) > 1e-12:
-            raise NormalizationError(
+            raise DomainError(
                 f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
 
 
@@ -249,6 +249,6 @@ def matrix_and_state(ham, psi0):
         raise DomainError("H and psi0 must be real")
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-12:
-        raise NormalizationError(
+        raise DomainError(
             f"psi0 norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return matrix, vec

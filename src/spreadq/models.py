@@ -29,11 +29,11 @@ with ``eta = sqrt(2 dim)`` (semicircle radius) and saturation
 orthogonal ensemble; it carves the correlation hole below ``Fbar``.
 
 ``moments_of_model`` returns the power moments of the implied density as
-exact rationals in the model's binary parameters.  For the interpolation
-model they are the Taylor coefficients of an exponential composed with the
-square-root (Catalan) series, summed in closed form; that sequence carries
-a working precision, which sends it through the escalating ``mpmath``
-recursion of ``moments_to_lanczos`` instead of the exact one.
+a tuple of exact rationals in the model's binary parameters.  For the
+interpolation model they are the Taylor coefficients of an exponential
+composed with the square-root (Catalan) series, summed in closed form.
+Which recursion converts them is the caller's choice, made with the
+``precision_bits`` argument of ``moments_to_lanczos``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, VariantError
-from .moment_lanczos import MomentSequence
+from .errors import DomainError
 
 # Arguments smaller than this are routed through series branches when a
 # formula has a removable singularity at zero.
@@ -138,7 +137,7 @@ def _j1_over_x(x: np.ndarray) -> np.ndarray:
 
 def eval_autocorr(model: AmplitudeModel, t):
     """Return amplitude S(t) of an amplitude model (scalar or array t);
-    any other object raises ``VariantError``.  An oracle in closed form: no
+    any other object raises ``DomainError``.  An oracle in closed form: no
     command calls it; the Krylov-edge test of ``test_cli.py`` and the
     resummation test of ``test_models.py`` hold ``model`` to it."""
     arr, scalar = _time_array(t)
@@ -154,7 +153,7 @@ def eval_autocorr(model: AmplitudeModel, t):
     elif isinstance(model, SemicircleAutocorr):
         out = 2.0 * _j1_over_x(2.0 * model.alpha * arr)
     else:
-        raise VariantError(f"unknown model type {type(model).__name__}")
+        raise DomainError(f"unknown model type {type(model).__name__}")
     return _restore(out, scalar)
 
 
@@ -214,7 +213,7 @@ def _catalan(k: int) -> int:
 
 
 def _interpolation_moments(model: InterpolationAutocorr,
-                           order: int) -> MomentSequence:
+                           order: int) -> tuple:
     """Even moments of the interpolation model as exact rationals.
 
     With ``d = gamma^2 / (2 sigma0^2)`` and ``v = -sigma0^4 t^2 / gamma^2``
@@ -228,9 +227,7 @@ def _interpolation_moments(model: InterpolationAutocorr,
     summed below in integers over the denominator ``q^n`` of ``d^n``.  The
     values equal the binomial-series recursion ``e_n = (1/n) sum_k k p_k
     e_(n-k)`` (Brent & Kung 1978), which ``bench/refcheck.py`` keeps as an
-    independent oracle.  The sequence is tagged with the 128-bit floor of
-    the escalating ``mpmath`` recursion, so ``moments_to_lanczos`` converts
-    it on that route rather than the far slower ``Fraction`` one.
+    independent oracle.
     """
     s2 = Fraction(model.sigma0) ** 2
     g2 = Fraction(model.gamma) ** 2
@@ -248,19 +245,13 @@ def _interpolation_moments(model: InterpolationAutocorr,
         values[2 * n] = Fraction(
             math.factorial(2 * n) // math.factorial(n) * total, q**n) \
             * (s2 * s2 / g2) ** n
-    return MomentSequence(tuple(values), precision_bits=128)
+    return tuple(values)
 
 
-def moments_of_model(model: AmplitudeModel, order: int) -> MomentSequence:
-    """Power moments mu_0..mu_order of the density implied by a model.
-
-    Every amplitude model gives exact rationals in its binary parameters.
-    The Gaussian, semicircle and truncated-quadratic sequences carry
-    ``precision_bits=None`` (exact ``Fraction`` recursion in
-    ``moments_to_lanczos``); the interpolation sequence carries 128, which
-    sends it through the ``mpmath`` recursion, whose working precision
-    ``moments_to_lanczos`` sets.  Any other object raises
-    ``VariantError``.
+def moments_of_model(model: AmplitudeModel, order: int) -> tuple:
+    """Power moments mu_0..mu_order of the density implied by a model, as
+    a tuple of exact rationals in its binary parameters.  Any other object
+    raises ``DomainError``.
     """
     if not isinstance(order, (int, np.integer)) or order < 2 or order % 2:
         raise DomainError(f"order must be an even integer >= 2, got {order}")
@@ -270,21 +261,21 @@ def moments_of_model(model: AmplitudeModel, order: int) -> MomentSequence:
         values = [Fraction(0)] * (order + 1)
         for k in range(order // 2 + 1):
             values[2 * k] = _double_factorial_odd(k) * s2**k
-        return MomentSequence(tuple(values), precision_bits=None)
+        return tuple(values)
     if isinstance(model, SemicircleAutocorr):
         a2 = Fraction(model.alpha) ** 2
         values = [Fraction(0)] * (order + 1)
         for k in range(order // 2 + 1):
             values[2 * k] = _catalan(k) * a2**k
-        return MomentSequence(tuple(values), precision_bits=None)
+        return tuple(values)
     if isinstance(model, TruncatedQuadraticAutocorr):
         values = [Fraction(0)] * (order + 1)
         values[0] = Fraction(1)
         values[2] = Fraction(model.sigma0) ** 2
-        return MomentSequence(tuple(values), precision_bits=None)
+        return tuple(values)
     if isinstance(model, InterpolationAutocorr):
         return _interpolation_moments(model, order)
-    raise VariantError(f"unknown model type {type(model).__name__}")
+    raise DomainError(f"unknown model type {type(model).__name__}")
 
 
 def model_from_dict(data: dict) -> AmplitudeModel:
@@ -295,7 +286,7 @@ def model_from_dict(data: dict) -> AmplitudeModel:
     name = data["variant"]
     cls = _VARIANTS.get(name)
     if cls is None:
-        raise VariantError(
+        raise DomainError(
             f"unknown variant {name!r}; expected one of {sorted(_VARIANTS)}")
     kwargs = {k: v for k, v in data.items() if k != "variant"}
     fields = set(cls.__dataclass_fields__)

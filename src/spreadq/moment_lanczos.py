@@ -14,12 +14,12 @@ directions without ever touching a matrix:
 
   from which ``b_n = sqrt(M_n^(n))`` and ``a_n = -L_n^(n)``.  The recursion
   is numerically violent (Hankel conditioning), so it never runs in double
-  precision: rational inputs are processed with exact ``fractions.Fraction``
-  arithmetic, everything else with ``mpmath`` at a working precision that is
-  escalated until two precision levels agree.  Rationals tagged with a
-  ``precision_bits`` floor take the faster ``mpmath`` route too.  mpmath is
-  imported where that route first needs it, so the exact route, and every
-  caller that only builds ``LanczosCoefficients``, never loads it.
+  precision: its ``precision_bits`` argument picks the arithmetic.  Without
+  it, rational inputs are processed with exact ``fractions.Fraction``
+  arithmetic; with it, or for any non-rational input, ``mpmath`` runs at a
+  working precision that is escalated until two precision levels agree.
+  mpmath is imported where that route first needs it, so the exact route,
+  and every caller that only builds ``LanczosCoefficients``, never loads it.
 
 * ``lanczos_to_moments`` recovers ``mu_n = (T^n)_00`` exactly.  Closed walks
   on a tridiagonal matrix cross every off-diagonal bond an even number of
@@ -44,7 +44,6 @@ import numpy as np
 from .errors import (
     DomainError,
     FloatRangeError,
-    InsufficientMomentsError,
     PositivityError,
     PrecisionError,
 )
@@ -67,34 +66,6 @@ FLOAT_TINY = float(np.finfo(float).tiny)
 # Two floating results are considered converged when the final b agrees
 # to this relative tolerance between consecutive precision levels.
 ESCALATION_RTOL = 1e-9
-
-
-@dataclass
-class MomentSequence:
-    """Power moments ``mu_0 .. mu_order`` of a local density of states.
-
-    ``values[n]`` is ``mu_n``, a ``Fraction``/``int`` or an
-    ``mpmath.mpf``/``float``.  ``precision_bits`` selects how
-    ``moments_to_lanczos`` converts them: ``None`` means the exact
-    ``Fraction`` recursion (when every value is rational), an integer means
-    the ``mpmath`` recursion escalated from that many bits upward.
-    ``mu_0`` must equal 1 (normalized state).
-    """
-
-    values: tuple
-    precision_bits: int | None = None
-
-    def __post_init__(self):
-        self.values = tuple(self.values)
-        if len(self.values) == 0:
-            raise DomainError("moment sequence must contain at least mu_0")
-        mu0 = self.values[0]
-        if isinstance(mu0, Rational):
-            ok = mu0 == 1
-        else:
-            ok = abs(float(mu0) - 1.0) <= 1e-12
-        if not ok:
-            raise DomainError(f"mu_0 must be 1 (normalized state), got {mu0}")
 
 
 @dataclass
@@ -234,11 +205,11 @@ def _mpf(value):
     return value if isinstance(value, mpmath.mpf) else mpmath.mpf(value)
 
 
-def start_precision(K: int, *floors) -> int:
+def start_precision(K: int, floor: int | None = None) -> int:
     """Starting bits of the ``mpmath`` route at depth ``K``:
-    ``max(128, 12 K, floors)``, ``None`` floors ignored.  ``DomainError``
-    above MAX_START_BITS, before any moment or recursion is computed."""
-    prec = max(128, 12 * K, *(floor or 0 for floor in floors))
+    ``max(128, 12 K, floor)``.  ``DomainError`` above MAX_START_BITS,
+    before any moment or recursion is computed."""
+    prec = max(128, 12 * K, floor or 0)
     if prec > MAX_START_BITS:
         raise DomainError(
             f"working precision floor {prec} bits leaves no second level "
@@ -247,13 +218,49 @@ def start_precision(K: int, *floors) -> int:
     return prec
 
 
-def _convert(moments: MomentSequence, K, formal,
-             precision_bits=None) -> LanczosCoefficients:
-    """Exact recursion for rationals with ``precision_bits=None``, else
-    ``mpmath`` from ``start_precision`` bits up."""
-    mu = moments.values
-    if moments.precision_bits is None and all(isinstance(v, Rational)
-                                              for v in mu):
+def moments_to_lanczos(moments, K: int, precision_bits: int | None = None,
+                       formal: bool = False) -> LanczosCoefficients:
+    """Convert power moments to Lanczos coefficients at depth ``K``.
+
+    Parameters
+    ----------
+    moments : sequence of numbers
+        ``mu_0 .. mu_order`` with ``mu_0 = 1`` (normalized state) and
+        ``order >= 2K``: ``int``/``Fraction`` or ``float``/``mpmath.mpf``.
+    K : int
+        Requested Krylov depth: returns ``a_0..a_(K-1)`` and ``b_1..b_(K-1)``.
+        Terminates early (smaller K) when the Krylov space exhausts.
+    precision_bits : int, optional
+        The route.  ``None`` with every moment rational runs the exact
+        ``Fraction`` recursion; otherwise the ``mpmath`` recursion starts at
+        ``start_precision(K, precision_bits)`` bits and escalates.
+    formal : bool
+        Continue through Hankel positivity violations with sign-carrying
+        coefficients instead of raising ``PositivityError``.
+
+    Raises
+    ------
+    DomainError
+        If ``mu_0`` is not 1, if fewer than ``2K + 1`` moments are given, or
+        if the floating route's starting precision exceeds
+        ``MAX_START_BITS``, so that no second level could confirm the first.
+    PositivityError
+        If some ``b_n^2 < 0`` and ``formal`` is not set.
+    PrecisionError
+        If precision escalation hits its ceiling without convergence.
+    """
+    if not isinstance(K, (int, np.integer)) or K < 1:
+        raise DomainError(f"K must be a positive integer, got {K}")
+    mu = tuple(moments)
+    if not mu:
+        raise DomainError("moment sequence must contain at least mu_0")
+    if not (mu[0] == 1 if isinstance(mu[0], Rational)
+            else abs(float(mu[0]) - 1.0) <= 1e-12):
+        raise DomainError(f"mu_0 must be 1 (normalized state), got {mu[0]}")
+    if len(mu) - 1 < 2 * K:
+        raise DomainError(f"depth K={K} needs moments through order {2 * K}, "
+                          f"got order {len(mu) - 1}")
+    if precision_bits is None and all(isinstance(v, Rational) for v in mu):
         a, b2, violation = _recursion([Fraction(v) for v in mu], K, formal,
                                       exact=True)
         return _finalize(a, b2, violation)
@@ -265,7 +272,7 @@ def _convert(moments: MomentSequence, K, formal,
     # levels report it at the same depth; otherwise it is retried.
     import mpmath
 
-    prec = start_precision(K, moments.precision_bits, precision_bits)
+    prec = start_precision(K, precision_bits)
     prev = None
     while prec <= MAX_PRECISION_BITS:
         try:
@@ -298,53 +305,8 @@ def _convert(moments: MomentSequence, K, formal,
         "the moment sequence is too ill-conditioned at this depth")
 
 
-def moments_to_lanczos(moments, K: int, precision_bits: int | None = None,
-                       formal: bool = False) -> LanczosCoefficients:
-    """Convert power moments to Lanczos coefficients at depth ``K``.
-
-    Parameters
-    ----------
-    moments : MomentSequence or sequence of numbers
-        ``mu_0 .. mu_order`` with ``order >= 2K``.
-    K : int
-        Requested Krylov depth: returns ``a_0..a_(K-1)`` and ``b_1..b_(K-1)``.
-        Terminates early (smaller K) when the Krylov space exhausts.
-    precision_bits : int, optional
-        Floor for the working precision of the ``mpmath`` recursion.  A raw
-        sequence of rationals (int / Fraction) always takes the exact
-        ``Fraction`` recursion; a ``MomentSequence`` picks its route by its
-        own ``precision_bits`` (see there).
-    formal : bool
-        Continue through Hankel positivity violations with sign-carrying
-        coefficients instead of raising ``PositivityError``.
-
-    Raises
-    ------
-    InsufficientMomentsError
-        If fewer than ``2K + 1`` moment values are available.
-    PositivityError
-        If some ``b_n^2 < 0`` and ``formal`` is not set.
-    DomainError
-        If the floating route's starting precision (``12 K`` bits or a
-        precision floor) exceeds ``MAX_START_BITS``, so that no second
-        level could confirm the first.
-    PrecisionError
-        If precision escalation hits its ceiling without convergence.
-    """
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise DomainError(f"K must be a positive integer, got {K}")
-    if not isinstance(moments, MomentSequence):
-        moments = MomentSequence(moments)
-    order = len(moments.values) - 1
-    if order < 2 * K:
-        raise InsufficientMomentsError(
-            f"depth K={K} needs moments through order {2 * K}, "
-            f"got order {order}")
-    return _convert(moments, K, formal, precision_bits)
-
-
-def lanczos_to_moments(lc: LanczosCoefficients, order: int) -> MomentSequence:
-    """Recover ``mu_n = (T^n)_00`` from tridiagonal coefficients.
+def lanczos_to_moments(lc: LanczosCoefficients, order: int) -> tuple:
+    """Recover ``mu_0..mu_order``, ``mu_n = (T^n)_00``, as ``Fraction``s.
 
     Exact: the walk sum only involves ``a_n`` and ``b_n^2``, so it is
     evaluated with ``Fraction`` arithmetic on the binary values stored in
@@ -377,4 +339,4 @@ def lanczos_to_moments(lc: LanczosCoefficients, order: int) -> MomentSequence:
             w[j] = val
         v = w
         mu.append(v[0])
-    return MomentSequence(tuple(mu), precision_bits=None)
+    return tuple(mu)

@@ -121,13 +121,13 @@ def test_01_gaussian_closed_form():
     started = time.perf_counter()
     for sigma0 in (0.5, 1.0, 2.0):
         moments = moments_of_model(GaussianAutocorr(sigma0), 40)
-        lc = moments_to_lanczos(moments, 20, precision_bits=256)
+        lc = moments_to_lanczos(moments, 20)
         n = np.arange(1, 20)
         np.testing.assert_allclose(lc.a, 0.0, atol=1e-9 * sigma0)
         np.testing.assert_allclose(lc.b, sigma0 * np.sqrt(n), rtol=1e-9)
         # same depth through the floating path at the stated precision
-        lc_float = moments_to_lanczos([float(m) for m in moments.values],
-                                      20, precision_bits=256)
+        lc_float = moments_to_lanczos([float(m) for m in moments], 20,
+                                      precision_bits=256)
         np.testing.assert_allclose(lc_float.b, sigma0 * np.sqrt(n),
                                    rtol=1e-9)
     assert time.perf_counter() - started < 1.0
@@ -137,7 +137,7 @@ def test_02_semicircle_closed_form():
     """Catalan moments give constant b_n = alpha to 1e-9."""
     started = time.perf_counter()
     moments = moments_of_model(SemicircleAutocorr(1.0), 40)
-    lc = moments_to_lanczos(moments, 20, precision_bits=256)
+    lc = moments_to_lanczos(moments, 20)
     np.testing.assert_allclose(lc.a, 0.0, atol=1e-9)
     np.testing.assert_allclose(lc.b, 1.0, rtol=1e-9)
     assert time.perf_counter() - started < 1.0
@@ -215,7 +215,8 @@ def test_07_interpolation_slope_fits():
     """Through-origin slope of b_n over n in [1, 8] within 10% of targets."""
     for sigma0, target in ((2.0, 21.687), (1.2, 7.682)):
         model = InterpolationAutocorr(sigma0=sigma0, gamma=0.5)
-        lc = moments_to_lanczos(moments_of_model(model, 24), 12)
+        lc = moments_to_lanczos(moments_of_model(model, 24), 12,
+                                precision_bits=128)
         fit = fit_bn_linear(lc.b, window=(1, 8), through_origin=True)
         assert fit.params["slope"] == pytest.approx(target, rel=0.10)
         assert fit.window == (1, 8)
@@ -243,7 +244,8 @@ def test_09_early_time_universality(goe_data):
         "semicircle": moments_to_lanczos(
             moments_of_model(SemicircleAutocorr(1.0), 40), 20),
         "interpolation": moments_to_lanczos(
-            moments_of_model(InterpolationAutocorr(2.0, 0.5), 24), 12),
+            moments_of_model(InterpolationAutocorr(2.0, 0.5), 24), 12,
+            precision_bits=128),
         "goe": goe_data["members"][0],
         "spin": build_spin_member(12, 0.4, stream=0),
     }
@@ -310,7 +312,7 @@ def test_12_truncated_quadratic_halt():
     """
     sigma0 = 1.0
     moments = moments_of_model(TruncatedQuadraticAutocorr(sigma0), 12)
-    hankel = np.array([[moments.values[i + j] for j in range(3)]
+    hankel = np.array([[moments[i + j] for j in range(3)]
                        for i in range(3)], dtype=float)
     assert np.linalg.eigvalsh(hankel)[0] < 0
 

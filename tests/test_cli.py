@@ -292,6 +292,7 @@ def test_fit_window_is_input_and_exits_2(tmp_path, kind, window, extra):
     pytest.param("n,a_n,b_n\nx,1,2\n", id="not-a-number"),
     pytest.param("", id="empty"),
     pytest.param("n,a_n,b_n\n0,1,0\n1,2\n", id="short-row"),
+    pytest.param("n,a_n,b_n\n0,1,0\n1,nan,2\n", id="non-finite"),
 ])
 def test_fit_malformed_coefficient_file_exits_2(tmp_path, capsys, table):
     coeffs = tmp_path / "coeffs.csv"
@@ -336,6 +337,24 @@ def test_fit_series_needs_its_header(tmp_path, capsys, header):
                              "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(series) in err and "t,C,F" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_fit_of_a_non_finite_series_cell_exits_2(tmp_path, capsys, cell):
+    # a bad cell is a bad input file, not a failed fit
+    t = np.geomspace(0.5, 50.0, 200)
+    f = [str(ti ** -2.0) for ti in t]
+    f[3] = cell
+    rows = [f"{ti},0.0,{fi}" for ti, fi in zip(t, f)]
+    series = tmp_path / "series.csv"
+    series.write_text("t,C,F\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "never"
+    assert spreadq.cli.main(["fit", "--series", str(series), "--kind",
+                             "decay", "--window", "1", "5",
+                             "--out", str(out)]) == 2
+    assert f"config error: {series}: a cell is not a finite number" in \
+        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -693,6 +712,23 @@ def test_model_grid_errors_exit_2_without_run_directory(tmp_path, grid):
     # the grid is checked before the coefficients are written
     out = tmp_path / "never"
     assert spreadq.cli.main([*GAUSSIAN, *grid, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", [
+    pytest.param(("frm", "--dim", "30"), id="frm"),
+    pytest.param(("model", "--variant", "gaussian", "--sigma0", "1"),
+                 id="model"),
+])
+def test_overflowing_phases_exit_3_without_run_directory(tmp_path, capsys,
+                                                         command):
+    # a finite --tmax at which lambda t overflows gives NaN amplitudes:
+    # the unitarity check refuses them rather than writing NaN rows
+    out = tmp_path / "never"
+    assert spreadq.cli.main([*command, "--tmax", "1e308",
+                             "--out", str(out)]) == 3
+    assert "amplitude normalization off by nan" in capsys.readouterr().err
     assert not out.exists()
 
 

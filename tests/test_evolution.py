@@ -194,16 +194,6 @@ def test_formal_coefficients_rejected():
         eigendecompose(lc)
 
 
-def test_time_grid_validation():
-    spectrum = eigendecompose(two_level())
-    with pytest.raises(DomainError):
-        spread_series(spectrum, np.array([0.0, np.inf]))
-    with pytest.raises(DomainError):
-        spread_series(spectrum, np.array([1.0, 0.5]))
-    with pytest.raises(DomainError):
-        spread_series(spectrum, np.array([]))
-
-
 def test_time_grid_ends_at_twenty_heisenberg_times():
     # gaps 1, 0.5 and 1.5: the median level spacing is 1
     values = np.array([-1.0, 0.0, 0.5, 2.0])
@@ -355,6 +345,8 @@ def test_spread_series_checks_the_whole_grid():
     spectrum = eigendecompose(gaussian_lc(1.0, 8))
     with pytest.raises(DomainError, match="empty"):
         spread_series(spectrum, np.array([]))
+    with pytest.raises(DomainError, match="finite"):
+        spread_series(spectrum, np.array([0.0, np.inf]))
     grid = np.linspace(0.0, 10.0, 3 * TIME_SLAB_ROWS)
     grid[2 * TIME_SLAB_ROWS + 5] = np.nan
     with pytest.raises(DomainError, match="finite"):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spreadq import AssemblyError, DomainError, NormalizationError
+from spreadq import AssemblyError, DomainError
 from spreadq.hamiltonians import (
     SectorHamiltonian,
     SpinChainSpec,
@@ -258,12 +258,12 @@ def test_ldos_summary_rejects_complex_or_unnormalized_input():
         matrix_and_state(np.eye(2, dtype=complex), psi)
     with pytest.raises(DomainError, match="real"):
         matrix_and_state(np.eye(2), psi.astype(complex))
-    with pytest.raises(NormalizationError):
+    with pytest.raises(DomainError, match="psi0 norm deviates from 1"):
         matrix_and_state(np.eye(2), 2.0 * psi)
 
 
 def test_state_vector_norm_enforced():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(DomainError, match="state norm deviates from 1"):
         StateVector(np.array([1.0, 1.0]))
 
 

@@ -15,7 +15,6 @@ from scipy.linalg import lapack
 
 from spreadq import (
     DomainError,
-    NormalizationError,
     _lapack,
     matrix_lanczos,
     moments_to_lanczos,
@@ -212,7 +211,7 @@ def test_goe_first_coefficient_matches_ldos_width(ldos):
 
 def test_input_validation():
     ham, psi0 = random_symmetric(6, seed=0)
-    with pytest.raises(NormalizationError):
+    with pytest.raises(DomainError, match="psi0 norm deviates from 1"):
         lanczos_tridiagonalize(ham, psi0 * 2.0, 3)
     with pytest.raises(DomainError):
         lanczos_tridiagonalize(ham, psi0, 7)

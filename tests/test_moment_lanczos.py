@@ -17,10 +17,8 @@ from spreadq import cli
 from spreadq import (
     DomainError,
     GaussianAutocorr,
-    InsufficientMomentsError,
     InterpolationAutocorr,
     LanczosCoefficients,
-    MomentSequence,
     PositivityError,
     PrecisionError,
     SemicircleAutocorr,
@@ -73,7 +71,7 @@ def test_semicircle_closed_form():
 def test_float_moment_input_uses_escalating_precision():
     # integer-valued moments are exact in float64, so the result must still
     # hit the closed form
-    mus = [float(v) for v in moments_of_model(GaussianAutocorr(1.0), 16).values]
+    mus = [float(v) for v in moments_of_model(GaussianAutocorr(1.0), 16)]
     lc = moments_to_lanczos(mus, 8)
     np.testing.assert_array_equal(lc.a, 0.0)
     np.testing.assert_allclose(lc.b, np.sqrt(np.arange(1, 8)), rtol=1e-12)
@@ -93,7 +91,7 @@ def test_point_mass_roundtrip_is_exact_through_truncation_order():
     mu_in = point_mass_moments(16)
     lc = moments_to_lanczos(mu_in, 8)
     mu_out = lanczos_to_moments(lc, 2 * lc.K - 1)
-    got = np.array(mu_out.values, dtype=float)
+    got = np.array(mu_out, dtype=float)
     expected = np.array([float(m) for m in mu_in[:2 * lc.K]])
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
@@ -103,9 +101,8 @@ def test_roundtrip_truncation_breaks_beyond_2k_minus_1():
     mus = moments_of_model(GaussianAutocorr(1.0), 16)
     lc = moments_to_lanczos(mus, 8)
     mu_out = lanczos_to_moments(lc, 16)
-    assert float(mu_out.values[14]) == pytest.approx(float(mus.values[14]),
-                                                     rel=1e-12)
-    assert abs(float(mu_out.values[16]) / float(mus.values[16]) - 1) > 1e-3
+    assert float(mu_out[14]) == pytest.approx(float(mus[14]), rel=1e-12)
+    assert abs(float(mu_out[16]) / float(mus[16]) - 1) > 1e-3
 
 
 def test_point_mass_spectrum_recovered():
@@ -141,8 +138,8 @@ def test_truncated_quadratic_formal_mode():
     np.testing.assert_allclose(lc.b, [sigma0, -sigma0], rtol=1e-14)
     # and the signed walk-sum inverts it exactly
     mu_back = lanczos_to_moments(lc, 6)
-    np.testing.assert_allclose(np.array(mu_back.values, dtype=float),
-                               [float(v) for v in mus.values[:7]],
+    np.testing.assert_allclose(np.array(mu_back, dtype=float),
+                               [float(v) for v in mus[:7]],
                                rtol=1e-14, atol=1e-14)
 
 
@@ -154,18 +151,21 @@ def test_gaussian_moments_are_physical():
 
 
 def test_moment_sequence_validation():
-    with pytest.raises(DomainError):
-        MomentSequence((2.0, 0.0, 1.0))
-    with pytest.raises(DomainError):
-        MomentSequence(())
-    seq = MomentSequence((1, 0, 1))
-    assert seq.values == (1, 0, 1)
-    np.testing.assert_array_equal(np.array(seq.values, dtype=float),
-                                  [1.0, 0.0, 1.0])
+    with pytest.raises(DomainError, match="mu_0 must be 1"):
+        moments_to_lanczos((2.0, 0.0, 1.0), 1)
+    with pytest.raises(DomainError, match="mu_0 must be 1"):
+        moments_to_lanczos([Fraction(1, 2), 0, 1], 1)
+    with pytest.raises(DomainError, match="at least mu_0"):
+        moments_to_lanczos((), 1)
+    # the tuple of moments_of_model and the raw list of bench/refcheck.py
+    for seq in ((1, 0, 1), [1, 0, 1]):
+        lc = moments_to_lanczos(seq, 1)
+        assert lc.K == 1 and lc.a[0] == 0.0
 
 
 def test_insufficient_moments_rejected():
-    with pytest.raises(InsufficientMomentsError):
+    with pytest.raises(DomainError,
+                       match="needs moments through order 6, got order 4"):
         moments_to_lanczos([1, 0, 1, 0, 3], 3)
     with pytest.raises(DomainError):
         moments_to_lanczos([1, 0, 1], 0)
@@ -202,12 +202,12 @@ def test_lanczos_coefficients_validation():
     lc = LanczosCoefficients(a=np.array([0.0, 0.0]), b=np.array([-1.0]),
                              physical=False)
     # a negative b_n carries the sign of b_n^2 into the walk sum
-    assert lanczos_to_moments(lc, 2).values == (1, 0, -1)
+    assert lanczos_to_moments(lc, 2) == (1, 0, -1)
 
 
 def test_hankel_detects_truncated_quadratic_failure():
     # leading 3x3 minor goes negative exactly where the recursion halts
-    mus = moments_of_model(TruncatedQuadraticAutocorr(1.0), 8).values
+    mus = moments_of_model(TruncatedQuadraticAutocorr(1.0), 8)
     hm = np.array([[mus[i + j] for j in range(3)] for i in range(3)],
                   dtype=float)
     assert np.linalg.det(hm[:2, :2]) > 0
@@ -215,9 +215,15 @@ def test_hankel_detects_truncated_quadratic_failure():
 
 
 def test_raw_rational_list_keeps_exact_route(recursion_calls):
-    # a precision floor never moves a raw list of rationals off the exact path
-    lc = moments_to_lanczos(point_mass_moments(16), 8, precision_bits=256)
+    # precision_bits alone picks the route: without it rationals take the
+    # exact path, with it two mpmath levels, to the same coefficients
+    lc = moments_to_lanczos(point_mass_moments(16), 8)
     assert recursion_calls == [True]
+    np.testing.assert_allclose(lc.a, PM_A_EXPECTED, rtol=1e-13)
+    np.testing.assert_allclose(lc.b, PM_B_EXPECTED, rtol=1e-13)
+    recursion_calls.clear()
+    lc = moments_to_lanczos(point_mass_moments(16), 8, precision_bits=256)
+    assert recursion_calls == [False, False]
     np.testing.assert_allclose(lc.a, PM_A_EXPECTED, rtol=1e-13)
     np.testing.assert_allclose(lc.b, PM_B_EXPECTED, rtol=1e-13)
 
@@ -232,14 +238,13 @@ def test_precision_floor_above_ceiling_is_domain_error():
 def test_start_without_a_second_level_is_domain_error(recursion_calls):
     # a result needs two agreeing levels: a start above half the ceiling
     # leaves one, so it is refused before any recursion
-    floats = [float(m) for m in moments_of_model(GaussianAutocorr(1.0),
-                                                 16).values]
+    floats = [float(m) for m in moments_of_model(GaussianAutocorr(1.0), 16)]
     with pytest.raises(DomainError, match="no second level"):
         moments_to_lanczos(floats, 8, precision_bits=MAX_START_BITS + 1)
     # 12 K bits: K = 683 starts at 8196
-    deep = MomentSequence((1,) + (0,) * 1366, precision_bits=128)
+    deep = (1,) + (0,) * 1366
     with pytest.raises(DomainError, match="8196 bits"):
-        moments_to_lanczos(deep, 683)
+        moments_to_lanczos(deep, 683, precision_bits=128)
     assert recursion_calls == []
     lc = moments_to_lanczos(floats, 8, precision_bits=MAX_START_BITS)
     assert recursion_calls == [False, False]
@@ -262,8 +267,7 @@ def test_levels_that_never_agree_raise_precision_error(monkeypatch):
         return a, b2, violation
 
     monkeypatch.setattr(moment_lanczos, "_recursion", drifting)
-    floats = [float(m) for m in moments_of_model(GaussianAutocorr(1.0),
-                                                 16).values]
+    floats = [float(m) for m in moments_of_model(GaussianAutocorr(1.0), 16)]
     with pytest.raises(PrecisionError, match="16384 bits"):
         moments_to_lanczos(floats, 8)
     assert levels == [128 << k for k in range(8)]
@@ -273,9 +277,9 @@ def test_levels_that_never_agree_raise_precision_error(monkeypatch):
 def test_interpolation_floating_route_matches_exact_route(recursion_calls,
                                                           sigma0, gamma):
     moments = moments_of_model(InterpolationAutocorr(sigma0, gamma), 48)
-    floating = moments_to_lanczos(moments, 24)
+    floating = moments_to_lanczos(moments, 24, precision_bits=128)
     assert recursion_calls and not any(recursion_calls)
-    exact = moments_to_lanczos(list(moments.values), 24)
+    exact = moments_to_lanczos(moments, 24)
     assert recursion_calls[-1] is True
     np.testing.assert_array_equal(floating.a, exact.a)
     np.testing.assert_array_equal(floating.b, exact.b)
@@ -287,7 +291,7 @@ def test_tagged_rationals_are_converted_at_every_precision_level():
     nodes = [1 + Fraction(j, 10**4) for j in range(6)]
     mu = [sum(x**n for x in nodes) / 6 for n in range(13)]
     exact = moments_to_lanczos(mu, 6)
-    floating = moments_to_lanczos(MomentSequence(mu, precision_bits=128), 6)
+    floating = moments_to_lanczos(mu, 6, precision_bits=128)
     np.testing.assert_array_equal(floating.a, exact.a)
     np.testing.assert_array_equal(floating.b, exact.b)
 
@@ -310,11 +314,11 @@ def test_roundtrip_is_exact_for_dyadic_jacobi_measures(coefficients):
     a, b = coefficients
     lc = LanczosCoefficients(np.array(a), np.array(b))
     K = lc.K
-    mu = lanczos_to_moments(lc, 2 * K).values
+    mu = lanczos_to_moments(lc, 2 * K)
     back = moments_to_lanczos(mu, K)
     np.testing.assert_array_equal(back.a, lc.a)
     np.testing.assert_array_equal(back.b, lc.b)
-    assert lanczos_to_moments(back, 2 * K).values == mu
+    assert lanczos_to_moments(back, 2 * K) == mu
 
 
 @PROPERTY
@@ -328,7 +332,7 @@ def test_roundtrip_reproduces_rational_point_mass_moments(atoms):
     K = len(atoms)
     mu = [sum(Fraction(w, total) * x**n for x, w in atoms)
           for n in range(2 * K + 1)]
-    back = lanczos_to_moments(moments_to_lanczos(mu, K), 2 * K).values
+    back = lanczos_to_moments(moments_to_lanczos(mu, K), 2 * K)
     back = np.array(back, dtype=float)
     np.testing.assert_allclose(back, [float(m) for m in mu], rtol=1e-11,
                                atol=1e-12)
