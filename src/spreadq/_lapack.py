@@ -27,6 +27,24 @@ the results are bit-identical to theirs:
   loop and its rank-2k update of the trailing lower triangle, which
   ``dsytrd_leading`` repeats only as far as the leading columns it needs.
 
+After numpy's import and after every threaded call, OpenBLAS's worker
+threads busy-wait for its ``THREAD_TIMEOUT`` (about 0.1 s) before they
+sleep; ``openblas_set_num_threads(1)`` does not stop them.
+``retire_threads`` calls ``blas_thread_shutdown_``, the hook OpenBLAS runs
+before ``fork``, which joins the workers in about 0.1 ms; the next
+threaded call starts the pool again at the same width.  The command line
+calls it twice: at the start of ``main``, for the pool numpy's import
+started, and at the end of each member's evolution, where that member's
+dense work (reduction, eigensolve, evolution GEMMs) ends.  No library
+function calls it, since a retire while another thread is inside BLAS is
+unsafe.  On a 2-core VM, in process, the workers of ``frm --dim 1000
+--realizations 10 --K 200`` burnt 0.42-0.44 s of its 0.89-0.95 s of CPU,
+and 0.24-0.28 s of 0.71-0.83 s with the retires; those of ``model
+--variant interpolation --K 40``, whose one threaded call is ``dstevd``,
+0.11-0.13 s, and 0.06 s (spin during numpy's import) with them.
+``blas_threads`` reads ``openblas_get_num_threads`` for ``manifest.json``,
+since GEMM results depend on the thread width.
+
 Which reduction runs at which order is ``matrix_lanczos.reduction_kernel``:
 the one-stage kernel is faster while the matrix fits in cache (half of its
 work is matrix-vector products), the two-stage kernel beyond it.
@@ -102,6 +120,39 @@ _SYTRD_2STAGE = _routine("dsytrd_2stage",
                          [_CHAR, _CHAR, _INT, _SQUARE, _INT, _VECTOR,
                           _VECTOR, _VECTOR, _VECTOR, _INT, _VECTOR, _INT,
                           _INT, _LENGTH, _LENGTH])
+
+
+def _optional(*names):
+    """The first of ``names`` the library exports, taking no argument and
+    returning a C int, or None where it exports none of them."""
+    for name in names:
+        if hasattr(_LIBRARY, name):
+            function = getattr(_LIBRARY, name)
+            function.argtypes, function.restype = [], ctypes.c_int
+            return function
+    return None
+
+
+# OpenBLAS's names, and those numpy's wheels give the thread count
+_SHUTDOWN = _optional("blas_thread_shutdown_")
+_THREADS = _optional("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads")
+
+
+def retire_threads() -> None:
+    """Stop the BLAS worker threads, which busy-wait after every threaded
+    call; the next threaded call starts them again, with bit-identical
+    results.  Unsafe while another thread is inside BLAS, so no library
+    function calls it: only the command line, which owns its process."""
+    if _SHUTDOWN is not None:
+        _SHUTDOWN()
+
+
+def blas_threads() -> int | None:
+    """The number of threads a BLAS call may use, or None where the
+    library does not say."""
+    return None if _THREADS is None else _THREADS()
 
 
 def _tridiagonal(d, e):

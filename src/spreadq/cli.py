@@ -16,12 +16,20 @@ errors, 3 for numerical failures and for a ``MemoryError``.
 
 All randomness flows from the master ``--seed``; ensemble member r uses
 counter stream r, so member sets are reproducible and order-independent.
-Identical resolved config and seed give byte-identical data files.
-``manifest.json`` (config hash, seeds, package versions, wall time and, for
-``frm`` and ``spin``, the tridiagonalization kernel) is the only file exempt
-from byte identity.  Its versions name python, spreadq and numpy, and
-mpmath where the run computed with it (the interpolation model's moment
-recursion).  No command imports scipy.
+Identical resolved config and seed give byte-identical data files on the
+same numpy/OpenBLAS build run at the same BLAS thread width: a GEMM's last
+bits follow how its rows are split over the threads, so ``frm`` files
+differ between ``OPENBLAS_NUM_THREADS=1`` and two threads.
+``manifest.json`` (config hash, seeds, package versions, the BLAS thread
+width, wall time and, for ``frm`` and ``spin``, the tridiagonalization
+kernel) is the only file exempt from byte identity.  Its versions name
+python, spreadq and numpy, and mpmath where the run computed with it (the
+interpolation model's moment recursion).  No command imports scipy.
+
+``main`` retires OpenBLAS's worker threads (``_lapack.retire_threads``)
+when it starts and ``_evolve`` at the end of each member's dense work, so
+no idle worker busy-waits through the single-threaded stages; the width
+of every call stays the same.
 
 Every CSV table goes through ``_write_table`` and ``_read_table``: a
 ``*_HEADER`` line, then one row per index of ``.17g`` values (integers print
@@ -41,6 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._lapack import blas_threads, retire_threads
 from .analysis import (
     coefficient_stats,
     detect_peak_plateau,
@@ -354,6 +363,7 @@ def _write_manifest(out: Path, command: str, config: dict, seeds: dict,
             "spreadq": __version__,
             "numpy": np.__version__,
         },
+        "blas_threads": blas_threads(),
         "wall_time_s": time.perf_counter() - started,
     }
     if "mpmath" in sys.modules:
@@ -387,7 +397,10 @@ def _evolve(lc: LanczosCoefficients, config: dict, times=None):
         sigma = float(lc.b[0]) if lc.K > 1 else max(abs(lc.a[0]), 1.0)
         times = time_grid(spectrum.values, sigma, config["tpoints"],
                           config["tmax"], config["log_grid"])
-    return spread_series(spectrum, times), long_time_average(spectrum)
+    result = spread_series(spectrum, times), long_time_average(spectrum)
+    # the member's dense work ends here; its idle BLAS workers would spin
+    retire_threads()
+    return result
 
 
 def _cmd_model(config: dict) -> None:
@@ -671,6 +684,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # the pool numpy's import started would spin through the setup
+    retire_threads()
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,7 +15,9 @@ time-stepping error enters; each grid point is independent, so the
 evolution is unitary up to eigensolver roundoff at every t.
 
 ``spread_series`` is the one reducer of amplitudes.  It checks the grid
-once and evolves TIME_SLAB_ROWS grid rows at a time, so a member holds one
+once, against the spectrum too (a grid whose largest phase max|lambda| t
+overflows is a ``DomainError``, before NaN amplitudes are formed), and
+evolves TIME_SLAB_ROWS grid rows at a time, so a member holds one
 slab of amplitudes, not len(times) x K, whatever the grid's length; the
 slab's weights |phi_n|^2, formed once, give the unitarity check, C and F.
 The slab is a row count with a floor.  Each GEMM call repacks the K x K
@@ -168,7 +170,8 @@ def evolve_amplitudes(spectrum: Spectrum, times) -> np.ndarray:
 
 def spread_series(spectrum: Spectrum, times) -> SpreadComplexitySeries:
     """C(t) = sum_n n |phi_n|^2 and F(t) = |phi_0|^2 on an ascending, finite
-    grid, from checked slabs of TIME_SLAB_ROWS rows of amplitudes."""
+    grid whose phases lambda t stay finite, from checked slabs of
+    TIME_SLAB_ROWS rows of amplitudes."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise DomainError("empty time grid")
@@ -176,13 +179,20 @@ def spread_series(spectrum: Spectrum, times) -> SpreadComplexitySeries:
         raise DomainError("time grid must be finite")
     if np.any(np.diff(times) < 0):
         raise DomainError("time grid must be ascending")
+    t_max = float(np.abs(times).max())
+    lam_max = float(np.abs(spectrum.values).max())
+    # Python floats: an overflowing product is inf, without numpy's warning
+    if not math.isfinite(t_max * lam_max):
+        raise DomainError(f"the phases lambda t overflow: max|t| {t_max:.6g}"
+                          f" times max|lambda| {lam_max:.6g} is beyond the "
+                          "float range; lower --tmax")
     spread, survival = np.empty(times.size), np.empty(times.size)
     for lo in range(0, times.size, TIME_SLAB_ROWS):
         rows = slice(lo, lo + TIME_SLAB_ROWS)
         phi = evolve_amplitudes(spectrum, times[rows])
         weights = np.abs(phi)
         weights **= 2
-        # NaN-safe: phases that overflow at large t give NaN weights
+        # NaN-safe, a backstop to the phase check: NaN weights fail it
         worst = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
         if not worst <= UNITARITY_ATOL:
             raise NumericalError(

@@ -715,21 +715,23 @@ def test_model_grid_errors_exit_2_without_run_directory(tmp_path, grid):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", [
     pytest.param(("frm", "--dim", "30"), id="frm"),
     pytest.param(("model", "--variant", "gaussian", "--sigma0", "1"),
                  id="model"),
 ])
-def test_overflowing_phases_exit_3_without_run_directory(tmp_path, capsys,
-                                                         command):
-    # a finite --tmax at which lambda t overflows gives NaN amplitudes:
-    # the unitarity check refuses them rather than writing NaN rows
-    out = tmp_path / "never"
-    assert spreadq.cli.main([*command, "--tmax", "1e308",
-                             "--out", str(out)]) == 3
-    assert "amplitude normalization off by nan" in capsys.readouterr().err
-    assert not out.exists()
+def test_overflowing_phases_exit_2_without_run_directory(tmp_path, command):
+    # a finite --tmax at which lambda t overflows is refused where the grid
+    # meets the spectrum, before numpy forms (and warns about) NaN phases
+    proc = run_cli(*command, "--tmax", "1e308", "--out", "never",
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: the phases lambda t "
+                                  "overflow: max|t| 1e+308 times max|lambda|")
+    assert "lower --tmax" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "never").exists()
 
 
 def test_members_evolve_in_slabs_of_grid_rows(tmp_path, monkeypatch):
@@ -1165,6 +1167,35 @@ def test_cli_does_not_import_scipy_linalg_or_special(tmp_path, runs, draws,
     assert proc.stdout.split("\n")[:3] == ["[]", str(draws), str(loaded)]
 
 
+# The command line retires OpenBLAS's idle workers, which would busy-wait
+# after every threaded call: at the start of main (the pool numpy's import
+# started) and at the end of each member's evolution.  The frm and spin
+# sizes make the reduction, the eigensolve and the evolution GEMMs threaded.
+RETIRE_CHECK = """
+import os
+import spreadq.cli
+for argv in {runs!r}:
+    assert spreadq.cli.main(argv) == 0, argv
+    print(len(os.listdir("/proc/self/task")))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or _lapack._SHUTDOWN is None,
+                    reason="needs /proc and OpenBLAS's blas_thread_shutdown_")
+def test_runs_leave_no_blas_worker_threads(tmp_path):
+    # b2-table does no dense work: only main's retire can stop the pool
+    runs = [["b2-table", "--out", "b2"],
+            ["frm", "--dim", "400", "--realizations", "2", "--out", "frm"],
+            ["spin", "--L", "10", "--h", "0.4", "--K", "60", "--out",
+             "spin-K"],
+            ["model", "--variant", "gaussian", "--sigma0", "1", "--out",
+             "model"]]
+    proc = run_python("-c", RETIRE_CHECK.format(runs=runs), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] * len(runs)
+
+
 @pytest.mark.parametrize("command, extra", [
     pytest.param(FRM, set(), id="frm"),
     pytest.param(INTERPOLATION, {"mpmath"}, id="model-interpolation"),
@@ -1178,3 +1209,9 @@ def test_manifest_versions_name_the_libraries_the_run_loaded(tmp_path,
     assert set(manifest["versions"]) == {"python", "spreadq", "numpy"} | extra
     assert manifest["versions"]["spreadq"] == spreadq.__version__
     assert "scipy" not in json.dumps(manifest)
+    # GEMM results follow the BLAS thread width, so the manifest names it
+    threads = manifest["blas_threads"]
+    if _lapack._THREADS is None:
+        assert threads is None
+    else:
+        assert isinstance(threads, int) and threads >= 1

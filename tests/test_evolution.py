@@ -360,6 +360,18 @@ def test_spread_series_checks_the_whole_grid():
         spread_series(spectrum, grid)
 
 
+def test_spread_series_refuses_overflowing_phases():
+    spectrum = eigendecompose(gaussian_lc(1.0, 8))
+    reach = np.abs(spectrum.values).max()
+    # the largest |t| sets the reach, at either end of the grid
+    for grid in ([0.0, 1e308], [-1e308, 0.0]):
+        with pytest.raises(DomainError, match="phases lambda t overflow"):
+            spread_series(spectrum, np.array(grid))
+    # a finite largest phase is evolved
+    series = spread_series(spectrum, np.array([0.0, 0.5 * 1e308 / reach]))
+    assert np.all(np.isfinite(series.C)) and np.all(np.isfinite(series.F))
+
+
 def direct_long_time_average(values, vecs, starts):
     """Reference: the K x K overlap matrix reduced in one piece."""
     block_sums = np.add.reduceat(vecs * vecs[0], starts, axis=1)

@@ -15,7 +15,15 @@ import pytest
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
 
 import spreadq.cli
-from spreadq import DomainError, LapackError, _lapack
+from spreadq import (
+    DomainError,
+    LapackError,
+    _lapack,
+    eigendecompose,
+    evolve_amplitudes,
+    householder_hessenberg,
+    sample_goe,
+)
 
 ORDERS = (1, 2, 3, 17, 300)
 
@@ -189,3 +197,24 @@ def test_nonzero_info_exits_3_without_run_directory(tmp_path, monkeypatch,
     assert "LapackError" in err and f"{name} failed with info=2" in err
     assert not out.exists()
 
+
+def test_a_retired_pool_restarts_with_bit_identical_results():
+    # the command line retires the BLAS workers between members; the next
+    # threaded call starts them again and must give the bits a live pool
+    # gives
+    n = 600
+    psi0 = np.zeros(n)
+    psi0[0] = 1.0
+
+    def member():
+        lc = householder_hessenberg(sample_goe(n, 5).H, psi0,
+                                    overwrite_h=True)
+        spectrum = eigendecompose(lc)
+        phi = evolve_amplitudes(spectrum, np.linspace(0.0, 20.0, 200))
+        return lc.a, lc.b, spectrum.values, spectrum.vectors, phi
+
+    np.ones((n, n)) @ np.ones((n, n))  # a live pool
+    live = member()
+    _lapack.retire_threads()
+    restarted = member()
+    assert all(np.array_equal(x, y) for x, y in zip(live, restarted))
