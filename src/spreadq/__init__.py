@@ -34,6 +34,7 @@ from .hamiltonians import (
     SpinChainSpec,
     StateVector,
     build_spin_sector,
+    domain_wall_index,
     domain_wall_state,
     sample_goe,
     sector_basis,

@@ -37,13 +37,8 @@ calls it twice: at the start of ``main``, for the pool numpy's import
 started, and at the end of each member's evolution, where that member's
 dense work (reduction, eigensolve, evolution GEMMs) ends.  No library
 function calls it, since a retire while another thread is inside BLAS is
-unsafe.  On a 2-core VM, in process, the workers of ``frm --dim 1000
---realizations 10 --K 200`` burnt 0.42-0.44 s of its 0.89-0.95 s of CPU,
-and 0.24-0.28 s of 0.71-0.83 s with the retires; those of ``model
---variant interpolation --K 40``, whose one threaded call is ``dstevd``,
-0.11-0.13 s, and 0.06 s (spin during numpy's import) with them.
-``blas_threads`` reads ``openblas_get_num_threads`` for ``manifest.json``,
-since GEMM results depend on the thread width.
+unsafe.  ``blas_threads`` reads ``openblas_get_num_threads`` for
+``manifest.json``, since GEMM results depend on the thread width.
 
 Which reduction runs at which order is ``matrix_lanczos.reduction_kernel``:
 the one-stage kernel is faster while the matrix fits in cache (half of its

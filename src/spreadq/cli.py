@@ -75,7 +75,7 @@ from .evolution import (
 from .hamiltonians import (
     SpinChainSpec,
     build_spin_sector,
-    domain_wall_state,
+    domain_wall_index,
     sample_goe,
 )
 from .matrix_lanczos import (
@@ -469,11 +469,12 @@ def _ensemble_pipeline(config: dict, command: str, seed: int, dim: int,
                        member, extra_fits) -> None:
     """The frm/spin run: member coefficients, series, mean profiles, fits.
 
-    ``member(stream)`` returns the ``(H, psi0)`` of one member, of dimension
-    ``dim``; H is the member's own, so it is reduced in place
-    (``overwrite_h``).  Members run one loop in stream order, each through
-    ``_evolve``: H lives only while the coefficients are built, and the
-    spectrum only inside ``_evolve``.  Member 0's spectrum sets the grid.
+    ``member(stream)`` returns one member's H, of dimension ``dim``, and
+    the basis index it starts from; H is the member's own, so it is
+    reduced in place (``overwrite_h``).  Members run one loop in stream
+    order, each through ``_evolve``: H lives only while the coefficients
+    are built, and the spectrum only inside ``_evolve``.  Member 0's
+    spectrum sets the grid.
     A member's ``DomainError`` exits 2; any other failure of any member
     becomes an ``EnsembleMemberError`` naming its stream.  The run
     directory is created once every member has finished, so a failing
@@ -551,9 +552,7 @@ def _cmd_frm(config: dict) -> None:
     seed = _check_seed(config["seed"])
 
     def member(stream: int):
-        psi0 = np.zeros(dim)
-        psi0[0] = 1.0
-        return sample_goe(dim, seed, stream=stream).H, psi0
+        return sample_goe(dim, seed, stream=stream).H, 0
 
     def goe_profile(out, coefficient_sets, mean_lc) -> dict:
         window = (1, min(mean_lc.K - 1, dim - 20))
@@ -582,9 +581,9 @@ def _cmd_spin(config: dict) -> None:
                               f"{smaller} of the L={spec.L - 2} chain")
 
     def member(stream: int):
-        # H is assembled, and checked, before the state is built
+        # H is assembled, and checked, before the start is looked up
         return build_spin_sector(spec, stream=stream).H, \
-            domain_wall_state(spec).amplitudes
+            domain_wall_index(spec)
 
     def histograms(out, coefficient_sets, mean_lc) -> dict:
         stats = coefficient_stats(coefficient_sets)

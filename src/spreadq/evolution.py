@@ -20,14 +20,13 @@ overflows is a ``DomainError``, before NaN amplitudes are formed), and
 evolves TIME_SLAB_ROWS grid rows at a time, so a member holds one
 slab of amplitudes, not len(times) x K, whatever the grid's length; the
 slab's weights |phi_n|^2, formed once, give the unitarity check, C and F.
-The slab is a row count with a floor.  Each GEMM call repacks the K x K
-eigenvectors, so small slabs cost time: on 2 cores with OpenBLAS 0.3.31, a
-600-point grid at K=3432 took 0.80 s in 38-row slabs (1 MiB), 0.55 s in
-200-row slabs and 0.45 s whole.  And OpenBLAS splits a GEMM's rows over its
-threads, with a row's last bits following the split: 75-, 150- and 300-row
-slabs moved C at K=3432 by up to 1.2e-15 relative, while 200-row slabs
-reproduced that grid's whole series bit for bit at K=1000 and K=3432.  A
-byte rule, such as 2 MiB, would give 75-row slabs at K=3432.
+The slab is a row count, not a byte size.  Each GEMM call repacks the
+K x K eigenvectors, so slabs of a few dozen rows cost time.  And OpenBLAS
+splits a GEMM's rows over its threads, with a row's last bits following
+the split: other row counts moved C at K=3432 in its last bits, while
+200-row slabs reproduced the whole-grid series bit for bit at K=1000 and
+K=3432.  A byte rule would change the row count with K, and the bits with
+it.
 
 Infinite-time averages use the eigenbasis overlaps.  Eigenvalues closer
 than 1e-12 max|lambda| are merged into degenerate blocks first, with no

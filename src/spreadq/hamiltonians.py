@@ -29,8 +29,11 @@ lower triangle with the transpose of its upper partner.  Both tiles of a
 pair are read along contiguous rows and fit in cache together, so the check
 never scans H in transposed (strided) order.  The same tile pairs
 (``tile_pairs``) let ``symmetrize_in_place`` average H with its transpose
-without a second n x n array, for ``sample_goe`` and for the reflector of
-``householder_hessenberg``.
+without a second n x n array, for ``sample_goe``.
+
+Quench states are basis labels: ``domain_wall_index`` is the index that
+``householder_hessenberg`` starts from, and ``domain_wall_state`` the same
+state as a unit vector.
 
 Memory: each builder returns one dense n x n float64 array and allocates no
 second one, so a member that is reduced in place
@@ -221,34 +224,20 @@ def build_spin_sector(spec: SpinChainSpec, stream: int = 0) \
             "sector assembly produced an asymmetric matrix") from None
 
 
-def domain_wall_state(spec: SpinChainSpec) -> StateVector:
-    """Unit vector on the basis label with sites 1..L/2 up, rest down."""
+def domain_wall_index(spec: SpinChainSpec) -> int:
+    """Index in ``sector_basis`` of the label with sites 1..L/2 up, rest
+    down."""
     basis = sector_basis(spec.L)
     mask = (1 << (spec.L // 2)) - 1
     idx = int(np.searchsorted(basis, mask))
     if idx >= basis.size or basis[idx] != mask:
         raise AssemblyError(
             f"domain-wall mask {mask:#x} missing from the sector basis")
-    amplitudes = np.zeros(basis.size)
-    amplitudes[idx] = 1.0
+    return idx
+
+
+def domain_wall_state(spec: SpinChainSpec) -> StateVector:
+    """Unit vector on ``domain_wall_index(spec)``."""
+    amplitudes = np.zeros(spec.dimension)
+    amplitudes[domain_wall_index(spec)] = 1.0
     return StateVector(amplitudes)
-
-
-def matrix_and_state(ham, psi0):
-    """The arrays ``(H, psi0)``, checked to be a real square matrix and a
-    real unit vector of its order."""
-    matrix = np.asarray(ham)
-    vec = np.asarray(psi0)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DomainError(f"H must be square, got shape {matrix.shape}")
-    if vec.shape != (matrix.shape[0],):
-        raise DomainError(
-            f"dimension mismatch: H is {matrix.shape[0]}, state is "
-            f"{vec.shape}")
-    if np.iscomplexobj(matrix) or np.iscomplexobj(vec):
-        raise DomainError("H and psi0 must be real")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-12:
-        raise DomainError(
-            f"psi0 norm deviates from 1 by {abs(norm - 1.0):.3e}")
-    return matrix, vec

@@ -1,52 +1,50 @@
-"""Tridiagonalization of explicit (H, psi0) pairs.
+"""Tridiagonalization of explicit Hamiltonians from a start state.
 
 Two independent routes to the same coefficients:
 
-- ``householder_hessenberg``: rotate psi0 onto e1 with one reflector (an
-  index swap when psi0 is a basis vector), then one LAPACK reduction to
-  tridiagonal form, bound in ``_lapack`` and chosen by ``reduction_kernel``
-  from the order n and the depth asked for.  At full depth it is the
-  blocked one-stage ``dsytrd`` below ``TWO_STAGE_MIN_ORDER`` and the
-  two-stage ``dsytrd_2stage`` (full matrix to band with level-3 BLAS, band
-  to tridiagonal by bulge chasing) at and above it; a depth K < n runs
-  ``dsytrd``'s own blocked loop only over the first K-1 columns
-  (``dsytrd_leading``).  With the lower triangle stored, each reduction
-  transforms only rows and columns 2..n, so e1 stays fixed and the first
-  basis vector of the combined transform stays (up to sign) psi0.
+- ``householder_hessenberg``: from a basis vector e_j, swap indices 0 and
+  j, then one LAPACK reduction to tridiagonal form, bound in ``_lapack``
+  and chosen by ``reduction_kernel`` from the order n and the depth asked
+  for.  At full depth it is the blocked one-stage ``dsytrd`` below
+  ``TWO_STAGE_MIN_ORDER`` and the two-stage ``dsytrd_2stage`` (full matrix
+  to band with level-3 BLAS, band to tridiagonal by bulge chasing) at and
+  above it; a depth K < n runs ``dsytrd``'s own blocked loop only over the
+  first K-1 columns (``dsytrd_leading``).  With the lower triangle stored,
+  each reduction transforms only rows and columns 2..n, so e1 stays fixed
+  and the first basis vector of the combined transform is e_j.
   Backward-stable at any dimension and depth; the one route the CLI runs.
-  Neither the swap nor the reflector needs a matrix beside the one it
-  reduces: by default a private copy, with ``overwrite_h`` (as the CLI's
-  members ask) the caller's H itself, so a depth-K member holds n^2
-  doubles, not 2 n^2.
+  The swap needs no matrix beside the one it reduces: by default a private
+  copy, with ``overwrite_h`` (as the CLI's members ask) the caller's H
+  itself, so a depth-K member holds n^2 doubles, not 2 n^2.  Every quench
+  the commands run starts from a basis vector: e_0 for a GOE matrix, which
+  is rotation-invariant, and the domain wall for the spin chain.
 - ``lanczos_tridiagonalize``: three-term recursion with full
   reorthogonalization (two Gram-Schmidt passes against every previous basis
-  vector) each step.  No command calls it: it is the independent reference
-  the tests hold the Householder route to, and it can return its Krylov
-  basis.
+  vector) each step, from any real unit vector psi0.  No command calls it:
+  it is the independent reference the tests hold the Householder route to,
+  and it can return its Krylov basis.
 
-Both take real input only (``hamiltonians.matrix_and_state``).  Both
-truncate at the first sub-diagonal entry below 1e-12 * ||H||: past a
-decoupling the tridiagonal block no longer describes the Krylov space of
-psi0.  Where the full tridiagonal is at hand, ||H|| is exact from its end
-eigenvalues (LAPACK ``dstebz``), as T is orthogonally similar to H.  A
-partial T or a Lanczos run gives no ||H||, so there a power-iteration
-estimate runs once some entry falls below a Frobenius-norm gate: on H in
-the Lanczos run, and on the partially reduced matrix, which is
-orthogonally similar to H, in the Householder one.
+Both take a real square H only.  Both truncate at the first sub-diagonal
+entry below 1e-12 * ||H||: past a decoupling the tridiagonal block no
+longer describes the Krylov space of the start.  Where the full
+tridiagonal is at hand, ||H|| is exact from its end eigenvalues (LAPACK
+``dstebz``), as T is orthogonally similar to H.  A partial T or a Lanczos
+run gives no ||H||, so there a power-iteration estimate runs once some
+entry falls below a Frobenius-norm gate: on H in the Lanczos run, and on
+the partially reduced matrix, which is orthogonally similar to H, in the
+Householder one.
 """
 import numpy as np
 
 from . import _lapack
 from .errors import DomainError
-from .hamiltonians import matrix_and_state, symmetrize_in_place, tile_pairs
+from .hamiltonians import tile_pairs
 from .moment_lanczos import LanczosCoefficients
 
 TERMINATION_RTOL = 1e-12
 POWER_ITERATIONS = 30
 # smallest order reduced by dsytrd_2stage; see reduction_kernel
 TWO_STAGE_MIN_ORDER = 2048
-# rows of H per band of the reflector's rank-2 update
-REFLECTOR_ROWS = 128
 
 
 def spectral_norm_estimate(matrix: np.ndarray) -> float:
@@ -70,6 +68,15 @@ def _estimate_gate(matrix) -> float:
     return 2.0 * TERMINATION_RTOL * float(np.linalg.norm(matrix))
 
 
+def _real_square(ham) -> np.ndarray:
+    matrix = np.asarray(ham)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DomainError(f"H must be square, got shape {matrix.shape}")
+    if np.iscomplexobj(matrix):
+        raise DomainError("H must be real")
+    return matrix
+
+
 def _check_depth(depth, n: int) -> int:
     if not isinstance(depth, (int, np.integer)) or depth < 1:
         raise DomainError(f"K must be a positive integer, got {depth}")
@@ -89,8 +96,18 @@ def lanczos_tridiagonalize(ham, psi0, K: int, return_basis: bool = False):
     ``test_matrix_lanczos.py`` and ``test_acceptance.py::test_03`` hold
     ``householder_hessenberg`` to it.
     """
-    matrix, start = matrix_and_state(ham, psi0)
+    matrix = _real_square(ham)
     n = matrix.shape[0]
+    start = np.asarray(psi0)
+    if start.shape != (n,):
+        raise DomainError(
+            f"dimension mismatch: H is {n}, state is {start.shape}")
+    if np.iscomplexobj(start):
+        raise DomainError("psi0 must be real")
+    norm = np.linalg.norm(start)
+    if abs(norm - 1.0) > 1e-12:
+        raise DomainError(
+            f"psi0 norm deviates from 1 by {abs(norm - 1.0):.3e}")
     K = _check_depth(K, n)
 
     gate = _estimate_gate(matrix)
@@ -131,34 +148,13 @@ def reduction_kernel(n: int, depth: int | None = None) -> str:
     ``TWO_STAGE_MIN_ORDER`` and ``"dsytrd_2stage"`` from it on.
 
     The two-stage reduction pays for its single-threaded bulge chasing
-    only once the matrix no longer fits in cache.  Alternated calls in one
-    process on GOE matrices (2-core x86-64 VM, numpy's OpenBLAS 0.3.31,
-    median of 4 calls each):
-
-    ====  ==========  =================
-    n     ``dsytrd``  ``dsytrd_2stage``
-    ====  ==========  =================
-    1000       53 ms              95 ms
-    1500      198 ms             251 ms
-    2000      485 ms             602 ms
-    2500      892 ms             908 ms
-    2800     1164 ms            1137 ms
-    3000     1606 ms            1365 ms
-    3432     3098 ms            2630 ms
-    ====  ==========  =================
-
-    Between about 2000 and 2800 the two trade places from run to run (at
-    2048: 511 against 504 ms in one run, 523 against 575 ms in another),
-    so the crossover may sit anywhere in that band.  frm's N = 1000
-    members take the one-stage kernel and the L = 14 spin chain
-    (n = 3432) the two-stage one.
-
-    The partial reduction replaced ``lanczos_tridiagonalize`` on the
-    ``--K`` path.  Through ``householder_hessenberg`` (private copy
-    included), median of 5 alternated calls on the same VM: GOE seed 1,
-    member 0, n = 1000, K = 200: 25.3 against 70.6 ms, K = 40: 6.4
-    against 9.6 ms; the L = 14 chain (n = 3432) at K = 200: 352 against
-    758 ms.
+    only once the matrix no longer fits in cache.  Timed against each
+    other, the two trade places from run to run between orders of about
+    2000 and 2800, so the crossover may sit anywhere in that band; frm's
+    N = 1000 members take the one-stage kernel and the L = 14 spin chain
+    (n = 3432) the two-stage one.  The partial reduction is faster than
+    ``lanczos_tridiagonalize`` at every depth, which is why the ``--K``
+    path runs it.
     """
     if depth is not None and depth < n:
         return "dsytrd_leading"
@@ -167,11 +163,12 @@ def reduction_kernel(n: int, depth: int | None = None) -> str:
 
 def _reduced_matrix(reduced: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The whole symmetric matrix a partial reduction leaves, made up in
-    the reduced buffer itself: the tridiagonal head (``e`` below the diagonal of the
-    reduced columns, whose reflector entries are zeroed) joined to the
-    updated trailing block, the lower triangle mirrored onto the upper one.
-    Up to the signs of ``e`` (a diagonal similarity) it is Q^T H Q, so it
-    has the spectrum of the H that was reduced."""
+    the reduced buffer itself: the tridiagonal head (``e`` below the
+    diagonal of the reduced columns, whose stored Householder vectors are
+    zeroed) joined to the updated trailing block, the lower triangle
+    mirrored onto the upper one.  Up to the signs of ``e`` (a diagonal
+    similarity) it is Q^T H Q, so it has the spectrum of the H that was
+    reduced."""
     for i, sub in enumerate(e):
         reduced[i + 1:, i] = 0.0
         reduced[i + 1, i] = sub
@@ -184,10 +181,10 @@ def _reduced_matrix(reduced: np.ndarray, e: np.ndarray) -> np.ndarray:
     return reduced
 
 
-def householder_hessenberg(ham, psi0, depth: int | None = None,
+def householder_hessenberg(ham, start: int, depth: int | None = None,
                            overwrite_h: bool = False) -> LanczosCoefficients:
-    """The first ``depth`` coefficients (all n for ``None``) via one
-    reflector plus LAPACK.
+    """The first ``depth`` coefficients (all n for ``None``) of H from the
+    basis vector e_start, via one index swap plus LAPACK.
 
     Sub-diagonal entries are made non-negative (diagonal sign flips leave
     the coefficients' physics unchanged) and the profile is truncated at
@@ -198,23 +195,23 @@ def householder_hessenberg(ham, psi0, depth: int | None = None,
     the reduced buffer made whole (``_reduced_matrix``), which is
     orthogonally similar to H.
 
-    When psi0 is a multiple of a basis vector e_j, the reflector is the
-    symmetric swap of indices 0 and j: its sign flips do not change a_n or
-    |b_n|, so no rank-2 update is formed.  Any other psi0 takes the
-    reflector route: the rank-2 update is applied ``REFLECTOR_ROWS`` rows
-    at a time and the result symmetrized tile pair by tile pair
-    (``symmetrize_in_place``).  Either way the rotation and the reduction
-    that ``reduction_kernel`` names for the order of H and the depth work
-    in place on one n^2 buffer.  By default that buffer is a private copy
-    and the caller's H is never written.  With ``overwrite_h`` (scipy's
-    ``overwrite_a``) the rotation and reduction run on the caller's array
-    itself, if it is float64, C- or F-contiguous and writeable (otherwise
-    it is copied as by default), and leave it holding reduction debris;
-    the coefficients are bit-identical either way.  A nonzero LAPACK
-    ``info`` raises ``LapackError``.
+    ``start`` is an integer index in 0..n-1 (not a bool); anything else
+    raises ``DomainError``.  The symmetric swap of indices 0 and ``start``
+    and the reduction that ``reduction_kernel`` names for the order of H
+    and the depth work in place on one n^2 buffer.  By default that buffer
+    is a private copy and the caller's H is never written.  With
+    ``overwrite_h`` (scipy's ``overwrite_a``) the swap and reduction run on
+    the caller's array itself, if it is float64, C- or F-contiguous and
+    writeable (otherwise it is copied as by default), and leave it holding
+    reduction debris; the coefficients are bit-identical either way.  A
+    nonzero LAPACK ``info`` raises ``LapackError``.
     """
-    matrix, start = matrix_and_state(ham, psi0)
+    matrix = _real_square(ham)
     n = matrix.shape[0]
+    if isinstance(start, bool) or not isinstance(start, (int, np.integer)) \
+            or not 0 <= start < n:
+        raise DomainError(
+            f"start must be a basis index in 0..{n - 1}, got {start!r}")
     depth = n if depth is None else _check_depth(depth, n)
     if n == 1:
         return LanczosCoefficients(a=matrix[0, :1].astype(float).copy(),
@@ -226,31 +223,9 @@ def householder_hessenberg(ham, psi0, depth: int | None = None,
         and matrix.flags.writeable \
         and (matrix.flags.c_contiguous or matrix.flags.f_contiguous)
     rotated = matrix if in_place else np.array(matrix, dtype=float, order="C")
-    support = np.flatnonzero(start)
-    if support.size == 1:
-        j = int(support[0])
-        if j != 0:
-            rotated[[0, j]] = rotated[[j, 0]]
-            rotated[:, [0, j]] = rotated[:, [j, 0]]
-    else:
-        # reflector v sending psi0 to +-e1; sign chosen to avoid
-        # cancellation
-        sign = -1.0 if start[0] >= 0 else 1.0
-        v = start.astype(float).copy()
-        v[0] -= sign
-        # v^T v = 2 (1 + |psi0[0]|) >= 2, so the reflector never degenerates
-        vnorm2 = v @ v
-        hv = matrix @ v
-        alpha = 2.0 / vnorm2
-        beta = alpha * alpha / 2.0 * (v @ hv)
-        # P H P with P = I - 2 v v^T / (v^T v), via a rank-2 update applied
-        # a row band at a time, so no n x n outer product is formed
-        u = alpha * hv - beta * v
-        for lo in range(0, n, REFLECTOR_ROWS):
-            rows = slice(lo, lo + REFLECTOR_ROWS)
-            rotated[rows] -= np.outer(u[rows], v)
-            rotated[rows] -= np.outer(v[rows], u)
-        symmetrize_in_place(rotated)
+    if start != 0:
+        rotated[[0, start]] = rotated[[start, 0]]
+        rotated[:, [0, start]] = rotated[:, [start, 0]]
 
     # rotated is symmetric, so a C-ordered one's transpose is the same
     # matrix in Fortran order: the reduction overwrites it without another

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from spreadq import moment_lanczos
@@ -30,3 +31,18 @@ def ldos():
         e0 = float(psi0 @ hpsi)
         return e0, math.sqrt(max(float(hpsi @ hpsi) - e0 ** 2, 0.0))
     return summary
+
+
+@pytest.fixture(scope="session")
+def rotated_to_e0():
+    """``rotated_to_e0(H, psi0)``: P H P, symmetrized, for the reflector P
+    that sends psi0 to +-e0, so that <e0|(P H P)^k|e0> = <psi0|H^k|psi0>
+    and a Householder reduction from index 0 gives the coefficients of H
+    from psi0."""
+    def rotate(ham, psi0):
+        v = np.array(psi0, dtype=float)
+        v[0] += 1.0 if v[0] >= 0 else -1.0
+        reflector = np.eye(v.size) - 2.0 * np.outer(v, v) / (v @ v)
+        rotated = reflector @ ham @ reflector
+        return (rotated + rotated.T) / 2.0
+    return rotate

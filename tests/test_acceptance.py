@@ -22,7 +22,7 @@ from spreadq import (
     TruncatedQuadraticAutocorr,
     build_spin_sector,
     detect_peak_plateau,
-    domain_wall_state,
+    domain_wall_index,
     eigendecompose,
     ensemble_average,
     evolve_amplitudes,
@@ -45,17 +45,13 @@ from spreadq.errors import DomainError, PositivityError
 
 
 def build_goe_member(dim: int, stream: int):
-    sector = sample_goe(dim, seed=0, stream=stream)
-    psi0 = np.zeros(dim)
-    psi0[0] = 1.0
-    return householder_hessenberg(sector.H, psi0)
+    return householder_hessenberg(sample_goe(dim, seed=0, stream=stream).H, 0)
 
 
 def build_spin_member(L: int, h: float, stream: int):
     spec = SpinChainSpec(L=L, h=h, seed=0)
     sector = build_spin_sector(spec, stream=stream)
-    return householder_hessenberg(sector.H,
-                                  domain_wall_state(spec).amplitudes)
+    return householder_hessenberg(sector.H, domain_wall_index(spec))
 
 
 def saturation_grid(lc, points: int) -> np.ndarray:
@@ -143,8 +139,10 @@ def test_02_semicircle_closed_form():
     assert time.perf_counter() - started < 1.0
 
 
-def test_03_cross_pipeline_agreement():
-    """Moment and both matrix pipelines agree to 1e-8 on 50 random cases."""
+def test_03_cross_pipeline_agreement(rotated_to_e0):
+    """Moment and both matrix pipelines agree to 1e-8 on 50 random cases.
+
+    Householder reduces from e0 of H rotated to send psi0 there."""
     started = time.perf_counter()
     for case in range(50):
         gen = np.random.Generator(np.random.Philox(
@@ -161,7 +159,7 @@ def test_03_cross_pipeline_agreement():
             vec = ham @ vec
         lc_mu = moments_to_lanczos(mu, 5)
         lc_lan = lanczos_tridiagonalize(ham, psi0, 5)
-        lc_hh = householder_hessenberg(ham, psi0)
+        lc_hh = householder_hessenberg(rotated_to_e0(ham, psi0), 0)
         for other in (lc_lan, lc_hh):
             np.testing.assert_allclose(other.a[:5], lc_mu.a[:5], atol=1e-8)
             np.testing.assert_allclose(other.b[:4], lc_mu.b[:4], atol=1e-8)

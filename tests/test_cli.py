@@ -512,7 +512,7 @@ def test_dsytrd_failure_exits_3(tmp_path, monkeypatch, capsys, routine,
 def test_sector_assembly_failure_exits_3(tmp_path, monkeypatch, capsys):
     # a basis without label 0b0011 (also the domain-wall label) leaves
     # flip-flop partners on the wrong rows: the sector builder finds H
-    # asymmetric before the state builder runs
+    # asymmetric before the domain-wall index is looked up
     from spreadq import hamiltonians
 
     real_basis = hamiltonians.sector_basis

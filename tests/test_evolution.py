@@ -28,6 +28,7 @@ from spreadq.evolution import (
 from spreadq.hamiltonians import (
     SpinChainSpec,
     build_spin_sector,
+    domain_wall_index,
     domain_wall_state,
 )
 from spreadq.matrix_lanczos import (
@@ -103,7 +104,8 @@ def test_spin_chain_survival_matches_full_space_eigh(L):
     psi0 = domain_wall_state(spec).amplitudes
     energies, vectors = np.linalg.eigh(ham)
     weights = (vectors.T @ psi0) ** 2
-    lc = householder_hessenberg(ham, psi0, overwrite_h=True)
+    lc = householder_hessenberg(ham, domain_wall_index(spec),
+                                overwrite_h=True)
     series, _ = cli._evolve(lc, {"tpoints": 600, "tmax": None,
                                  "log_grid": True})
     assert series.times[-1] > 10 * 2 * np.pi / np.median(np.diff(energies))

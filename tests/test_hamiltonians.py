@@ -17,14 +17,17 @@ from spreadq.hamiltonians import (
     SpinChainSpec,
     StateVector,
     build_spin_sector,
+    domain_wall_index,
     domain_wall_state,
     is_symmetric,
-    matrix_and_state,
     sample_goe,
     symmetrize_in_place,
     sector_basis,
 )
-from spreadq.matrix_lanczos import householder_hessenberg
+from spreadq.matrix_lanczos import (
+    householder_hessenberg,
+    lanczos_tridiagonalize,
+)
 
 # kron factor index equals the bit value, so index 1 = up-spin: the mask is
 # then the basis index within the 2^L space when site s acts at kron
@@ -220,6 +223,17 @@ def test_domain_wall_state_layout():
     assert state14.amplitudes.size == 3432
 
 
+@pytest.mark.parametrize("L", range(2, 15, 2))
+def test_domain_wall_state_is_the_unit_vector_at_its_index(L):
+    # the state bench/refcheck.py builds and the index the CLI reduces from
+    spec = SpinChainSpec(L=L, h=0.5)
+    idx = domain_wall_index(spec)
+    expected = np.zeros(spec.dimension)
+    expected[idx] = 1.0
+    assert np.array_equal(domain_wall_state(spec).amplitudes, expected)
+    assert sector_basis(L)[idx] == (1 << L // 2) - 1
+
+
 def test_domain_wall_state_requires_the_mask(monkeypatch):
     # a basis without label 0b0011 has no domain-wall state
     from spreadq import hamiltonians
@@ -227,8 +241,10 @@ def test_domain_wall_state_requires_the_mask(monkeypatch):
     real_basis = hamiltonians.sector_basis
     monkeypatch.setattr(hamiltonians, "sector_basis",
                         lambda L: real_basis(L)[1:])
-    with pytest.raises(AssemblyError, match="domain-wall mask 0x3 missing"):
-        domain_wall_state(SpinChainSpec(L=4, h=0.0))
+    for build in (domain_wall_index, domain_wall_state):
+        with pytest.raises(AssemblyError,
+                           match="domain-wall mask 0x3 missing"):
+            build(SpinChainSpec(L=4, h=0.0))
 
 
 def test_domain_wall_energy_cancels_on_clean_ring(ldos):
@@ -242,24 +258,27 @@ def test_domain_wall_energy_cancels_on_clean_ring(ldos):
 def test_ldos_summary_identity_hamiltonian():
     # the LDOS of any state under the identity is one atom at 1
     psi = np.full(4, 0.5)
-    lc = householder_hessenberg(np.eye(4), psi)
-    assert lc.K == 1
-    assert lc.a[0] == pytest.approx(1.0, rel=1e-15)
+    for lc in (lanczos_tridiagonalize(np.eye(4), psi, 4),
+               householder_hessenberg(np.eye(4), 2)):
+        assert lc.K == 1
+        assert lc.a[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_ldos_summary_dimension_mismatch():
-    with pytest.raises(DomainError):
-        matrix_and_state(np.eye(3), np.array([1.0, 0.0]))
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        lanczos_tridiagonalize(np.eye(3), np.array([1.0, 0.0]), 1)
+    with pytest.raises(DomainError, match="basis index in 0..2"):
+        householder_hessenberg(np.eye(3), 3)
 
 
 def test_ldos_summary_rejects_complex_or_unnormalized_input():
     psi = np.array([1.0, 0.0])
     with pytest.raises(DomainError, match="real"):
-        matrix_and_state(np.eye(2, dtype=complex), psi)
+        lanczos_tridiagonalize(np.eye(2, dtype=complex), psi, 1)
     with pytest.raises(DomainError, match="real"):
-        matrix_and_state(np.eye(2), psi.astype(complex))
+        lanczos_tridiagonalize(np.eye(2), psi.astype(complex), 1)
     with pytest.raises(DomainError, match="psi0 norm deviates from 1"):
-        matrix_and_state(np.eye(2), 2.0 * psi)
+        lanczos_tridiagonalize(np.eye(2), 2.0 * psi, 1)
 
 
 def test_state_vector_norm_enforced():

@@ -22,6 +22,7 @@ from spreadq import (
 from spreadq.hamiltonians import (
     SpinChainSpec,
     build_spin_sector,
+    domain_wall_index,
     domain_wall_state,
     sample_goe,
 )
@@ -96,12 +97,12 @@ def test_krylov_basis_orthonormal():
     assert np.max(np.abs(off)) < 1e-9
 
 
-def test_full_depth_spectrum_preserved():
+def test_full_depth_spectrum_preserved(rotated_to_e0):
     from scipy.linalg import eigh_tridiagonal
     ham, psi0 = random_symmetric(80, seed=2)
     expected = np.linalg.eigvalsh(ham)
     for lc in (lanczos_tridiagonalize(ham, psi0, 80),
-               householder_hessenberg(ham, psi0)):
+               householder_hessenberg(rotated_to_e0(ham, psi0), 0)):
         assert lc.K == 80
         lam = eigh_tridiagonal(lc.a, lc.b, eigvals_only=True)
         np.testing.assert_allclose(lam, expected, atol=1e-8)
@@ -117,11 +118,11 @@ def test_partial_depth_eigenvalues_interlace():
     assert lam.max() <= full.max() + 1e-10
 
 
-def test_methods_agree_on_random_matrices():
+def test_methods_agree_on_random_matrices(rotated_to_e0):
     for seed in range(5):
         ham, psi0 = random_symmetric(12, seed=seed)
         lc_l = lanczos_tridiagonalize(ham, psi0, 12)
-        lc_h = householder_hessenberg(ham, psi0)
+        lc_h = householder_hessenberg(rotated_to_e0(ham, psi0), 0)
         np.testing.assert_allclose(lc_h.a, lc_l.a, atol=1e-8)
         np.testing.assert_allclose(lc_h.b, lc_l.b, atol=1e-8)
 
@@ -130,7 +131,7 @@ def test_two_by_two_methods_identical():
     ham = np.array([[1.0, 0.3], [0.3, -0.5]])
     psi0 = np.array([1.0, 0.0])
     lc_l = lanczos_tridiagonalize(ham, psi0, 2)
-    lc_h = householder_hessenberg(ham, psi0)
+    lc_h = householder_hessenberg(ham, 0)
     np.testing.assert_allclose(lc_h.a, lc_l.a, rtol=1e-14)
     np.testing.assert_allclose(lc_h.b, lc_l.b, rtol=1e-14)
 
@@ -155,13 +156,15 @@ def test_sigma0_equals_first_lanczos_coefficient(ldos):
     e0, sigma0 = ldos(ham, state)
     lc = lanczos_tridiagonalize(ham, state, 4)
     assert abs(sigma0 - lc.b[0]) < 1e-10
-    lc_h = householder_hessenberg(ham, state)
+    lc_h = householder_hessenberg(ham, domain_wall_index(spec))
     assert abs(sigma0 - lc_h.b[0]) < 1e-10
     assert e0 == pytest.approx(lc.a[0], abs=1e-12)
 
 
-def test_block_decoupling_truncates_both_paths(norm_estimates):
-    # psi0 lives in the first 3x3 block; the 2x2 tail must not leak in
+def test_block_decoupling_truncates_both_paths(norm_estimates,
+                                              rotated_to_e0):
+    # psi0 lives in the first 3x3 block; the 2x2 tail must not leak in,
+    # nor does the rotation sending psi0 to e0 mix it in
     ham = np.zeros((5, 5))
     ham[:3, :3] = np.diag([-1.0, 0.0, 1.0])
     ham[3:, 3:] = np.diag([5.0, 6.0])
@@ -170,22 +173,25 @@ def test_block_decoupling_truncates_both_paths(norm_estimates):
     lc = lanczos_tridiagonalize(ham, psi0, 5)
     assert lc.K == 3
     assert norm_estimates == [(5, 5)]
-    lc_h = householder_hessenberg(ham, psi0)
+    rotated = rotated_to_e0(ham, psi0)
+    assert not np.any(rotated[:3, 3:])
+    lc_h = householder_hessenberg(rotated, 0)
     assert lc_h.K == 3
     np.testing.assert_allclose(lc_h.b, lc.b, atol=1e-12)
     # a partial reduction has no full T, so it estimates ||H|| as Lanczos does
-    lc_p = householder_hessenberg(ham, psi0, 4)
+    lc_p = householder_hessenberg(rotated, 0, 4)
     assert lc_p.K == 3
     assert norm_estimates == [(5, 5), (5, 5)]
     np.testing.assert_allclose(lc_p.a, lc.a, atol=1e-12)
     np.testing.assert_allclose(lc_p.b, lc.b, atol=1e-12)
 
 
-def test_lanczos_without_small_residual_skips_norm_estimate(norm_estimates):
+def test_lanczos_without_small_residual_skips_norm_estimate(norm_estimates,
+                                                           rotated_to_e0):
     ham, psi0 = random_symmetric(64, seed=5)
     lc = lanczos_tridiagonalize(ham, psi0, 20)
     assert lc.K == 20
-    lc_p = householder_hessenberg(ham, psi0, 20)
+    lc_p = householder_hessenberg(rotated_to_e0(ham, psi0), 0, 20)
     assert lc_p.K == 20
     assert norm_estimates == []
 
@@ -195,7 +201,7 @@ def test_spin_chain_paths_agree_at_full_depth():
     ham = build_spin_sector(spec).H
     state = domain_wall_state(spec).amplitudes
     lc_l = lanczos_tridiagonalize(ham, state, ham.shape[0])
-    lc_h = householder_hessenberg(ham, state)
+    lc_h = householder_hessenberg(ham, domain_wall_index(spec))
     assert lc_l.K == lc_h.K
     np.testing.assert_allclose(lc_h.a, lc_l.a, atol=1e-8)
     np.testing.assert_allclose(lc_h.b, lc_l.b, atol=1e-8)
@@ -205,7 +211,7 @@ def test_goe_first_coefficient_matches_ldos_width(ldos):
     ham = sample_goe(300, seed=13).H
     e1 = np.zeros(300)
     e1[0] = 1.0
-    lc = householder_hessenberg(ham, e1)
+    lc = householder_hessenberg(ham, 0)
     assert lc.b[0] == pytest.approx(ldos(ham, e1)[1], abs=1e-10)
 
 
@@ -219,13 +225,20 @@ def test_input_validation():
         lanczos_tridiagonalize(ham, psi0, 0)
     for depth in (0, 7, 2.5):
         with pytest.raises(DomainError, match="K"):
-            householder_hessenberg(ham, psi0, depth)
+            householder_hessenberg(ham, 0, depth)
+    # the start is a basis index of H: not out of range, a bool, a float
+    # or a vector
+    for start in (-1, 6, True, 2.0, psi0):
+        with pytest.raises(DomainError, match="basis index"):
+            householder_hessenberg(ham, start)
     with pytest.raises(DomainError):
         lanczos_tridiagonalize(ham, np.array([1.0, 0.0]), 2)
+    with pytest.raises(DomainError, match="square"):
+        householder_hessenberg(ham[:5], 0)
+    with pytest.raises(DomainError, match="real"):
+        householder_hessenberg(ham.astype(complex), 0)
     for complex_pair in ((ham, psi0.astype(complex)),
                          (ham.astype(complex), psi0)):
-        with pytest.raises(DomainError, match="real"):
-            householder_hessenberg(*complex_pair)
         with pytest.raises(DomainError, match="real"):
             lanczos_tridiagonalize(*complex_pair, 3)
 
@@ -246,38 +259,31 @@ def unit_vector(n, j, sign=1.0):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_householder_from_basis_vector_matches_lanczos(sign):
-    # a basis vector away from index 0 takes the index-swap route
+    # a basis index away from 0 takes the index-swap route; the sign of
+    # the start vector changes no coefficient
     ham, _ = random_symmetric(64, seed=31)
-    start = unit_vector(64, 17, sign)
-    lc_h = householder_hessenberg(ham, start)
-    lc_l = lanczos_tridiagonalize(ham, start, 64)
+    lc_h = householder_hessenberg(ham, 17)
+    lc_l = lanczos_tridiagonalize(ham, unit_vector(64, 17, sign), 64)
     assert lc_h.K == lc_l.K == 64
     np.testing.assert_allclose(lc_h.a, lc_l.a, atol=1e-8)
     np.testing.assert_allclose(lc_h.b, lc_l.b, atol=1e-8)
 
 
-def test_householder_reflector_path_near_basis_vector():
-    # two nonzero entries: the general reflector route, next to the swap one
-    ham, _ = random_symmetric(64, seed=31)
-    start = unit_vector(64, 17) + 1e-3 * unit_vector(64, 40)
-    start /= np.linalg.norm(start)
-    lc_h = householder_hessenberg(ham, start)
-    lc_l = lanczos_tridiagonalize(ham, start, 64)
-    assert lc_h.K == lc_l.K == 64
-    np.testing.assert_allclose(lc_h.a, lc_l.a, atol=1e-8)
-    np.testing.assert_allclose(lc_h.b, lc_l.b, atol=1e-8)
-    # a 1e-3 tilt moves b_1 only slightly off the basis-vector value
-    lc_e = householder_hessenberg(ham, unit_vector(64, 17))
-    assert abs(lc_h.b[0] - lc_e.b[0]) < 1e-2 * lc_e.b[0]
+def start_case(kind, ham, general, j, rotate):
+    """The ``(H, start index)`` that ``householder_hessenberg`` takes for a
+    start of ``kind``: e0, e_j, or a general unit vector, which the
+    reflector ``rotate`` (the ``rotated_to_e0`` fixture) turns into e0."""
+    return {"e0": (ham, 0), "ej": (ham, j),
+            "general": (rotate(ham, general), 0)}[kind]
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
-def test_householder_leaves_caller_matrix_untouched(order, start_kind):
+def test_householder_leaves_caller_matrix_untouched(order, start_kind,
+                                                    rotated_to_e0):
     ham, general = random_symmetric(50, seed=32)
+    ham, start = start_case(start_kind, ham, general, 9, rotated_to_e0)
     ham = np.array(ham, order=order)
-    start = {"e0": unit_vector(50, 0), "ej": unit_vector(50, 9),
-             "general": general}[start_kind]
     before = ham.copy()
     # at full depth and at a partial one
     householder_hessenberg(ham, start)
@@ -290,14 +296,14 @@ def test_householder_leaves_caller_matrix_untouched(order, start_kind):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
 def test_overwrite_h_gives_the_default_coefficients(monkeypatch, crossover,
-                                                    order, start_kind):
+                                                    order, start_kind,
+                                                    rotated_to_e0):
     # the crossover picks the full-depth kernel, as in
     # test_householder_runs_the_named_reduction
     monkeypatch.setattr(matrix_lanczos, "TWO_STAGE_MIN_ORDER", crossover)
     ham, general = random_symmetric(64, seed=78)
+    ham, start = start_case(start_kind, ham, general, 5, rotated_to_e0)
     ham = np.array(ham, order=order)
-    start = {"e0": unit_vector(64, 0), "ej": unit_vector(64, 5),
-             "general": general}[start_kind]
     for depth in (None, 1, 20, 63):
         expected = householder_hessenberg(ham, start, depth)
         buffer = ham.copy(order="K")
@@ -305,9 +311,9 @@ def test_overwrite_h_gives_the_default_coefficients(monkeypatch, crossover,
         assert lc.K == expected.K
         assert np.array_equal(lc.a, expected.a)
         assert np.array_equal(lc.b, expected.b)
-        # the swap or the reflector, and the reduction, run on the caller's
-        # array; only e0 at depth 1 neither rotates nor reduces anything
-        untouched = start_kind == "e0" and depth == 1
+        # the swap and the reduction run on the caller's array; only index
+        # 0 at depth 1 neither swaps nor reduces anything
+        untouched = start == 0 and depth == 1
         assert np.array_equal(buffer, ham) == untouched
 
 
@@ -321,10 +327,8 @@ def test_overwrite_h_copies_what_it_cannot_reduce_in_place():
                    ham.astype(np.float32)):
         before = matrix.copy()
         for depth in (None, 10):
-            expected = householder_hessenberg(matrix, unit_vector(40, 3),
-                                              depth)
-            lc = householder_hessenberg(matrix, unit_vector(40, 3), depth,
-                                        overwrite_h=True)
+            expected = householder_hessenberg(matrix, 3, depth)
+            lc = householder_hessenberg(matrix, 3, depth, overwrite_h=True)
             assert np.array_equal(lc.a, expected.a)
             assert np.array_equal(lc.b, expected.b)
         assert np.array_equal(matrix, before)
@@ -336,17 +340,15 @@ def test_overwrite_h_cuts_a_decoupled_block_at_the_same_depth(
     ham = np.zeros((5, 5))
     ham[:3, :3] = [[0.0, 1.0, 0.0], [1.0, 0.5, 2.0], [0.0, 2.0, -1.0]]
     ham[3:, 3:] = [[5.0, 1.0], [1.0, 6.0]]
-    start = unit_vector(5, 1)
     for depth in (None, 4):
-        expected = householder_hessenberg(ham, start, depth)
-        lc = householder_hessenberg(ham.copy(), start, depth,
-                                    overwrite_h=True)
+        expected = householder_hessenberg(ham, 1, depth)
+        lc = householder_hessenberg(ham.copy(), 1, depth, overwrite_h=True)
         assert expected.K == lc.K == 3
         assert np.array_equal(lc.a, expected.a)
         assert np.array_equal(lc.b, expected.b)
     # the partial reductions estimate ||H|| once each, on the n x n buffer
     assert norm_estimates == [(5, 5), (5, 5)]
-    reference = lanczos_tridiagonalize(ham, start, 5)
+    reference = lanczos_tridiagonalize(ham, unit_vector(5, 1), 5)
     np.testing.assert_allclose(lc.a, reference.a, atol=1e-12)
     np.testing.assert_allclose(lc.b, reference.b, atol=1e-12)
 
@@ -379,54 +381,11 @@ def test_in_place_reduction_holds_one_matrix():
         buffer = ham.copy()
         tracemalloc.start()
         try:
-            householder_hessenberg(buffer, unit_vector(n, 0), depth,
-                                   overwrite_h=True)
+            householder_hessenberg(buffer, 0, depth, overwrite_h=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * matrix_bytes, depth
-
-
-@pytest.mark.parametrize("n", [3, 129, 300])
-def test_reflector_route_reduces_the_out_of_place_rotation(n):
-    # the banded rank-2 update and the tiled symmetrization give P H P
-    # bit for bit as the out-of-place expression of the same update
-    ham, start = random_symmetric(n, seed=81)
-    v = start.copy()
-    v[0] += 1.0 if start[0] >= 0 else -1.0
-    hv = ham @ v
-    alpha = 2.0 / (v @ v)
-    u = alpha * hv - alpha * alpha / 2.0 * (v @ hv) * v
-    rotated = ham - np.outer(u, v) - np.outer(v, u)
-    rotated = (rotated + rotated.T) / 2.0
-    for depth in (None, n // 2):
-        expected = householder_hessenberg(rotated, unit_vector(n, 0), depth)
-        lc = householder_hessenberg(ham, start, depth)
-        assert np.array_equal(lc.a, expected.a)
-        assert np.array_equal(lc.b, expected.b)
-
-
-def test_reflector_route_holds_one_matrix():
-    # a general psi0 rotates H in 128-row bands and symmetrizes it tile by
-    # tile, in the private copy or, with overwrite_h, in the caller's H
-    n = 1000
-    ham, start = random_symmetric(n, seed=80)
-    matrix_bytes = n * n * 8
-    for depth in (200, n):
-        peaks, results = {}, {}
-        for overwrite in (False, True):
-            buffer = ham.copy()
-            tracemalloc.start()
-            try:
-                results[overwrite] = householder_hessenberg(
-                    buffer, start, depth, overwrite_h=overwrite)
-                peaks[overwrite] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert np.array_equal(results[True].a, results[False].a)
-        assert np.array_equal(results[True].b, results[False].b)
-        assert peaks[False] <= 1.2 * matrix_bytes, depth
-        assert peaks[True] <= 0.2 * matrix_bytes, depth
 
 
 def test_reduction_kernel_switches_at_the_crossover_order():
@@ -444,10 +403,10 @@ def test_reduction_kernel_switches_at_the_crossover_order():
 
 
 @pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
-def test_householder_runs_the_named_reduction(monkeypatch, start_kind):
+def test_householder_runs_the_named_reduction(monkeypatch, start_kind,
+                                              rotated_to_e0):
     ham, general = random_symmetric(64, seed=77)
-    start = {"e0": unit_vector(64, 0), "ej": unit_vector(64, 5),
-             "general": general}[start_kind]
+    ham, start = start_case(start_kind, ham, general, 5, rotated_to_e0)
     results, calls = {}, []
     for crossover in (10 ** 9, 2):
         monkeypatch.setattr(matrix_lanczos, "TWO_STAGE_MIN_ORDER", crossover)
@@ -471,32 +430,23 @@ REDUCTIONS = {
 }
 
 
-def reference_tridiagonal(ham, start, reduction):
-    """a_n and |b_n| of H from ``start``, computed apart from the code under
-    test: a dense reflector sending e1 to +-start, then ``reduction``."""
-    v = start.copy()
-    v[0] += 1.0 if start[0] >= 0 else -1.0
-    reflector = np.eye(start.size) - 2.0 * np.outer(v, v) / (v @ v)
-    rotated = np.asfortranarray(reflector @ ham @ reflector)
-    d, e = REDUCTIONS[reduction](rotated)
-    return d, np.abs(e)
-
-
 @pytest.mark.parametrize("n", [2, 3, 17, 64, 300])
 @pytest.mark.parametrize("start_kind", ["e0", "ej", "general"])
 @pytest.mark.parametrize("reduction", list(REDUCTIONS))
-def test_householder_matches_exact_references(reduction, n, start_kind):
+def test_householder_matches_exact_references(reduction, n, start_kind,
+                                              rotated_to_e0):
     ham, general = random_symmetric(n, seed=40 + n)
     start = {"e0": unit_vector(n, 0), "ej": unit_vector(n, n - 1),
              "general": general}[start_kind]
-    lc = householder_hessenberg(ham, start)
+    lc = householder_hessenberg(*start_case(start_kind, ham, general, n - 1,
+                                            rotated_to_e0))
     assert lc.K == n
     norm = np.max(np.abs(np.linalg.eigvalsh(ham)))
-    # every coefficient against the named reduction of the test's own
-    # rotation, which shares no code with householder_hessenberg's
-    d, e = reference_tridiagonal(ham, start, reduction)
+    # every coefficient against the named reduction of a dense reflector's
+    # rotation of H, which shares no code with householder_hessenberg's swap
+    d, e = REDUCTIONS[reduction](np.asfortranarray(rotated_to_e0(ham, start)))
     np.testing.assert_allclose(lc.a, d, rtol=0, atol=1e-10 * norm)
-    np.testing.assert_allclose(lc.b, e, rtol=0, atol=1e-10 * norm)
+    np.testing.assert_allclose(lc.b, np.abs(e), rtol=0, atol=1e-10 * norm)
     # (T^k)_00 against <psi|H^k|psi>, both by repeated matrix-vector products
     tri = np.diag(lc.a) + np.diag(lc.b, 1) + np.diag(lc.b, -1)
     t_vec, h_vec = unit_vector(n, 0), start.copy()
@@ -511,20 +461,20 @@ def test_householder_matches_exact_references(reduction, n, start_kind):
 def symmetric_and_start():
     """A small sparse symmetric integer H, its leading block decoupled from
     the rest in some draws (so exact decouplings and degenerate levels turn
-    up), a unit start vector (a signed basis vector or a general one) and a
-    depth in 1..n, drawn uniformly."""
+    up), a unit start vector with its basis index (a signed basis vector) or
+    ``None`` (a general one), and a depth in 1..n, drawn uniformly."""
     def build(n):
         entries = st.lists(st.sampled_from([0] * 6 + [1, -1, 2, -3]),
                            min_size=n * n, max_size=n * n) \
             .map(lambda v: np.reshape(v, (n, n)))
         blocks = st.sampled_from(range(1, n + 1))
         basis = st.tuples(st.integers(0, n - 1), st.sampled_from([1, -1])) \
-            .map(lambda js: js[1] * unit_vector(n, js[0]))
+            .map(lambda js: (js[1] * unit_vector(n, js[0]), js[0]))
         general = st.lists(st.integers(-3, 3), min_size=n, max_size=n) \
-            .filter(any).map(lambda v: np.array(v) / np.linalg.norm(v))
+            .filter(any).map(lambda v: (np.array(v) / np.linalg.norm(v), None))
         return st.tuples(entries, blocks, st.one_of(basis, general),
                          st.sampled_from(range(1, n + 1))).map(
-            lambda t: (split(t[0] + t[0].T, t[1]) / 2.0, t[2], t[3]))
+            lambda t: (split(t[0] + t[0].T, t[1]) / 2.0, *t[2], t[3]))
     return st.integers(1, 12).flatmap(build)
 
 
@@ -537,12 +487,16 @@ def split(ham, m):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(symmetric_and_start())
-def test_partial_householder_against_moments_and_lanczos(case):
-    ham, start, depth = case
-    lc = householder_hessenberg(ham, start, depth)
+def test_partial_householder_against_moments_and_lanczos(rotated_to_e0,
+                                                         case):
+    ham, start, index, depth = case
+    # a general start is reduced from e0 of H rotated to send it there
+    reduced, index = (ham, index) if index is not None \
+        else (rotated_to_e0(ham, start), 0)
+    lc = householder_hessenberg(reduced, index, depth)
     assert 1 <= lc.K <= depth
     # reduced in the caller's array, the same coefficients and the same cut
-    in_place = householder_hessenberg(ham.copy(), start, depth,
+    in_place = householder_hessenberg(reduced.copy(), index, depth,
                                       overwrite_h=True)
     assert np.array_equal(in_place.a, lc.a)
     assert np.array_equal(in_place.b, lc.b)
@@ -577,11 +531,10 @@ def test_partial_householder_follows_the_goe_coefficient_law():
     many standard deviations.
     """
     dim, depth, members = 40, 36, 2000
-    e1 = unit_vector(dim, 0)
     a, b = [], []
     for stream in range(members):
         lc = householder_hessenberg(sample_goe(dim, 2026, stream=stream).H,
-                                    e1, depth)
+                                    0, depth)
         assert lc.K == depth
         a.append(lc.a)
         b.append(lc.b)
