@@ -42,7 +42,6 @@ from .hamiltonians import (
 from .matrix_lanczos import (
     householder_hessenberg,
     lanczos_tridiagonalize,
-    spectral_norm_estimate,
 )
 from .evolution import (
     LongTimeAverages,

@@ -15,8 +15,6 @@ the results are bit-identical to theirs:
 - ``dstevd``: all eigenpairs of a symmetric tridiagonal (``JOBZ='V'``,
   ``LWORK = 1 + 4n + n^2``, ``LIWORK = 3 + 5n``), which is what
   ``scipy.linalg.eigh_tridiagonal`` runs by default;
-- ``dstebz``: one eigenvalue by index (``RANGE='I'``, ``ORDER='E'``,
-  ``ABSTOL=0``), as in ``eigvalsh_tridiagonal(select="i")``;
 - ``dsytrd``: blocked one-stage reduction to tridiagonal form
   (``UPLO='L'``, optimal ``LWORK`` from a workspace query), as
   ``lapack.dsytrd(a, lower=1, lwork=dsytrd_lwork(n, lower=1)[0])``;
@@ -44,11 +42,11 @@ Which reduction runs at which order is ``matrix_lanczos.reduction_kernel``:
 the one-stage kernel is faster while the matrix fits in cache (half of its
 work is matrix-vector products), the two-stage kernel beyond it.
 
-The first pattern of ``_SYMBOLS`` that names all six routines fixes the
+The first pattern of ``_SYMBOLS`` that names all five routines fixes the
 Fortran INTEGER.  numpy's wheels export ILP64 ``scipy_<name>_64_``, so
-every integer argument, the IWORK/IBLOCK/ISPLIT arrays included, is 64-bit
+every integer argument, ``dstevd``'s IWORK array included, is 64-bit
 there.  Each character argument takes a trailing ``size_t`` length.
-Importing this module fails where no pattern names all six.
+Importing this module fails where no pattern names all five.
 """
 import ctypes
 
@@ -57,8 +55,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, LapackError
 
-_NAMES = ("dstevd", "dstebz", "dsytrd", "dsytrd_2stage", "dlatrd",
-          "dsyr2k")
+_NAMES = ("dstevd", "dsytrd", "dsytrd_2stage", "dlatrd", "dsyr2k")
 # symbol pattern and Fortran INTEGER of each OpenBLAS or LAPACK build
 _SYMBOLS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64),
             ("scipy_{}_", ctypes.c_int), ("{}_", ctypes.c_int))
@@ -94,12 +91,6 @@ def _routine(name: str, argtypes):
 # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO
 _STEVD = _routine("dstevd", [_CHAR, _INT, _VECTOR, _VECTOR, _SQUARE, _INT,
                              _VECTOR, _INT, _INDICES, _INT, _INT, _LENGTH])
-# RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK,
-# ISPLIT, WORK, IWORK, INFO
-_STEBZ = _routine("dstebz", [_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT,
-                             _INT, _DOUBLE, _VECTOR, _VECTOR, _INT, _INT,
-                             _VECTOR, _INDICES, _INDICES, _VECTOR, _INDICES,
-                             _INT, _LENGTH, _LENGTH])
 # UPLO, N, NB, A, LDA, E, TAU, W, LDW
 _LATRD = _routine("dlatrd", [_CHAR, _INT, _INT, _ADDRESS, _INT, _VECTOR,
                              _VECTOR, _VECTOR, _INT, _LENGTH])
@@ -183,26 +174,6 @@ def dstevd(d, e):
            np.empty(liwork, dtype=_INDEX), _INTEGER(liwork), info, 1)
     _check("dstevd", info)
     return values, vectors
-
-
-def dstebz(d, e, i: int) -> float:
-    """Eigenvalue number ``i`` (0-based, ascending) of the symmetric
-    tridiagonal with diagonal ``d`` and off-diagonal ``e``."""
-    d, e = _tridiagonal(d, e)
-    n = d.size
-    if not 0 <= i < n:
-        raise DomainError(f"eigenvalue index {i} out of range for order {n}")
-    if n == 1:
-        return float(d[0])
-    m, nsplit, info = _INTEGER(0), _INTEGER(0), _INTEGER(0)
-    values = np.empty(n)
-    _STEBZ(b"I", b"E", _INTEGER(n), ctypes.c_double(0.0),
-           ctypes.c_double(1.0), _INTEGER(i + 1), _INTEGER(i + 1),
-           ctypes.c_double(0.0), d, e, m, nsplit, values,
-           np.empty(n, dtype=_INDEX), np.empty(n, dtype=_INDEX),
-           np.empty(4 * n), np.empty(3 * n, dtype=_INDEX), info, 1, 1)
-    _check("dstebz", info)
-    return float(values[0])
 
 
 def _square_order(name: str, a) -> int:

@@ -309,10 +309,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_table(path: Path, header: str, *columns) -> None:
     """``header``, then row i of ``columns`` per line, as ``.17g`` values."""
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in zip(*(np.asarray(c).tolist() for c in columns)):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(map(template.__mod__,
+                          zip(*(np.asarray(c).tolist() for c in columns))))
 
 
 def _read_table(path: str, header: str) -> np.ndarray:

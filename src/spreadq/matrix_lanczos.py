@@ -24,48 +24,28 @@ Two independent routes to the same coefficients:
   it is the independent reference the tests hold the Householder route to,
   and it can return its Krylov basis.
 
-Both take a real square H only.  Both truncate at the first sub-diagonal
-entry below 1e-12 * ||H||: past a decoupling the tridiagonal block no
-longer describes the Krylov space of the start.  Where the full
-tridiagonal is at hand, ||H|| is exact from its end eigenvalues (LAPACK
-``dstebz``), as T is orthogonally similar to H.  A partial T or a Lanczos
-run gives no ||H||, so there a power-iteration estimate runs once some
-entry falls below a Frobenius-norm gate: on H in the Lanczos run, and on
-the partially reduced matrix, which is orthogonally similar to H, in the
-Householder one.
+Both take a real square H only.  Both cut the chain at the first
+sub-diagonal entry <= 1e-12 * ||H||_F (``_termination_tol``, read from H
+before any swap or reduction): past a decoupling the tridiagonal block no
+longer describes the Krylov space of the start.  ||H||_F is the scale of
+either route's own backward error, O(n eps ||H||_F), so an entry below it
+is indistinguishable from an exact zero.
 """
 import numpy as np
 
 from . import _lapack
 from .errors import DomainError
-from .hamiltonians import tile_pairs
 from .moment_lanczos import LanczosCoefficients
 
 TERMINATION_RTOL = 1e-12
-POWER_ITERATIONS = 30
 # smallest order reduced by dsytrd_2stage; see reduction_kernel
 TWO_STAGE_MIN_ORDER = 2048
 
 
-def spectral_norm_estimate(matrix: np.ndarray) -> float:
-    """Power iteration from a fixed start vector (deterministic)."""
-    n = matrix.shape[0]
-    vec = np.full(n, 1.0 / np.sqrt(n))
-    est = 0.0
-    for _ in range(POWER_ITERATIONS):
-        vec = matrix @ vec
-        est = np.linalg.norm(vec)
-        if est == 0.0:
-            return 0.0
-        vec = vec / est
-    return float(est)
-
-
-def _estimate_gate(matrix) -> float:
-    """Sub-diagonal entries above this are never cut: estimate <= ||H||_2
-    <= ||H||_F, and 2 is a rounding margin.  So the norm estimate need run
-    only once some entry falls below it."""
-    return 2.0 * TERMINATION_RTOL * float(np.linalg.norm(matrix))
+def _termination_tol(matrix: np.ndarray) -> float:
+    """The decoupling scale of both routes: sub-diagonal entries at or
+    below it end the chain."""
+    return TERMINATION_RTOL * float(np.linalg.norm(matrix))
 
 
 def _real_square(ham) -> np.ndarray:
@@ -110,8 +90,7 @@ def lanczos_tridiagonalize(ham, psi0, K: int, return_basis: bool = False):
             f"psi0 norm deviates from 1 by {abs(norm - 1.0):.3e}")
     K = _check_depth(K, n)
 
-    gate = _estimate_gate(matrix)
-    tol = None
+    tol = _termination_tol(matrix)
     basis = np.zeros((K, n))
     basis[0] = start
     a = []
@@ -126,11 +105,8 @@ def lanczos_tridiagonalize(ham, psi0, K: int, return_basis: bool = False):
             coeffs = basis[:k + 1] @ w
             w = w - coeffs @ basis[:k + 1]
         rnorm = np.linalg.norm(w)
-        if rnorm <= gate:
-            if tol is None:
-                tol = TERMINATION_RTOL * spectral_norm_estimate(matrix)
-            if rnorm <= tol:
-                break
+        if rnorm <= tol:
+            break
         b.append(float(rnorm))
         basis[k + 1] = w / rnorm
     k_actual = len(a)
@@ -161,26 +137,6 @@ def reduction_kernel(n: int, depth: int | None = None) -> str:
     return "dsytrd" if n < TWO_STAGE_MIN_ORDER else "dsytrd_2stage"
 
 
-def _reduced_matrix(reduced: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The whole symmetric matrix a partial reduction leaves, made up in
-    the reduced buffer itself: the tridiagonal head (``e`` below the
-    diagonal of the reduced columns, whose stored Householder vectors are
-    zeroed) joined to the updated trailing block, the lower triangle
-    mirrored onto the upper one.  Up to the signs of ``e`` (a diagonal
-    similarity) it is Q^T H Q, so it has the spectrum of the H that was
-    reduced."""
-    for i, sub in enumerate(e):
-        reduced[i + 1:, i] = 0.0
-        reduced[i + 1, i] = sub
-    for rows, cols in tile_pairs(reduced.shape[0]):
-        if rows == cols:
-            tile = reduced[rows, cols]
-            tile[...] = np.tril(tile) + np.tril(tile, -1).T
-        else:
-            reduced[cols, rows] = reduced[rows, cols].T
-    return reduced
-
-
 def householder_hessenberg(ham, start: int, depth: int | None = None,
                            overwrite_h: bool = False) -> LanczosCoefficients:
     """The first ``depth`` coefficients (all n for ``None``) of H from the
@@ -188,12 +144,8 @@ def householder_hessenberg(ham, start: int, depth: int | None = None,
 
     Sub-diagonal entries are made non-negative (diagonal sign flips leave
     the coefficients' physics unchanged) and the profile is truncated at
-    the first decoupling, as in the Lanczos path.  At full depth ||H|| is
-    exact from the extreme eigenvalues of the full tridiagonal.  A partial
-    one takes the Frobenius gate of H before reducing, and only once some
-    sub-diagonal entry falls below it estimates ||H|| by power iteration on
-    the reduced buffer made whole (``_reduced_matrix``), which is
-    orthogonally similar to H.
+    the first decoupling, by the same ``_termination_tol`` as the Lanczos
+    path.
 
     ``start`` is an integer index in 0..n-1 (not a bool); anything else
     raises ``DomainError``.  The symmetric swap of indices 0 and ``start``
@@ -217,8 +169,8 @@ def householder_hessenberg(ham, start: int, depth: int | None = None,
         return LanczosCoefficients(a=matrix[0, :1].astype(float).copy(),
                                    b=np.zeros(0), physical=True)
 
-    # the gate reads H, so it is taken before H may be overwritten
-    gate = _estimate_gate(matrix) if depth < n else None
+    # the scale reads H, so it is taken before H may be overwritten
+    tol = _termination_tol(matrix)
     in_place = overwrite_h and matrix.dtype == np.float64 \
         and matrix.flags.writeable \
         and (matrix.flags.c_contiguous or matrix.flags.f_contiguous)
@@ -234,16 +186,6 @@ def householder_hessenberg(ham, start: int, depth: int | None = None,
     kernel = getattr(_lapack, reduction_kernel(n, depth))
     diag, off = kernel(reduced, depth) if depth < n else kernel(reduced)
     off = np.abs(off)
-
-    if depth == n:
-        # the full tridiagonal is orthogonally similar to H: its end
-        # eigenvalues give ||H||_2 exactly
-        norm = max(abs(_lapack.dstebz(diag, off, i)) for i in (0, n - 1))
-        tol = TERMINATION_RTOL * norm
-    else:
-        tol = (TERMINATION_RTOL
-               * spectral_norm_estimate(_reduced_matrix(reduced, off))
-               if np.any(off <= gate) else gate)
     cut = np.nonzero(off <= tol)[0]
     k_actual = int(cut[0]) + 1 if cut.size else depth
     return LanczosCoefficients(a=diag[:k_actual], b=off[:k_actual - 1],

@@ -325,6 +325,25 @@ def test_fit_reads_crlf_coefficients_like_lf(tmp_path, monkeypatch):
     assert fits["crlf"] == fits["lf"]
 
 
+def test_table_rows_are_the_17_digit_formatting_of_each_value(tmp_path):
+    # one "%.17g" line template per table writes what one f"{v:.17g}" per
+    # value wrote: integers as integers, extremes and signed zeros alike
+    rng = np.random.default_rng(8)
+    floats = np.concatenate([rng.standard_normal(50),
+                             [1e-300, -0.0, 0.0, 2.0 ** 53 + 1.0, 1e300,
+                              -5e-324, 0.1, 1.0 / 3.0]])
+    tables = {"x,y": (floats, floats[::-1] * 1e7),
+              "n,x,y": (np.arange(floats.size), floats, -floats)}
+    for header, columns in tables.items():
+        path = tmp_path / f"{header.count(',')}.csv"
+        spreadq.cli._write_table(path, header, *columns)
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        expected = header + "\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()
+    assert (tmp_path / "2.csv").read_text().splitlines()[3].startswith("2,")
+
+
 @pytest.mark.parametrize("header", ["t,C\n", "t,F,C\n", "0.5,0,1\n"])
 def test_fit_series_needs_its_header(tmp_path, capsys, header):
     series = tmp_path / "series.csv"

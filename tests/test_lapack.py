@@ -3,16 +3,15 @@
 This is a cross-library check: ``_lapack`` binds the routines from the
 OpenBLAS numpy links (ILP64 symbols, 64-bit integer arguments), while
 ``scipy.linalg`` calls its own OpenBLAS build through LP64 wrappers.
-``dstevd``, ``dstebz`` and ``dsytrd`` are called with the arguments scipy
-passes, so their results must equal ``eigh_tridiagonal``,
-``eigvalsh_tridiagonal(select="i")`` and ``lapack.dsytrd`` with the
-optimal ``lwork`` exactly, not just to a tolerance.  ``dsytrd_leading``
+``dstevd`` and ``dsytrd`` are called with the arguments scipy passes, so
+their results must equal ``eigh_tridiagonal`` and ``lapack.dsytrd`` with
+the optimal ``lwork`` exactly, not just to a tolerance.  ``dsytrd_leading``
 runs the same blocked loop as ``lapack.dsytrd``, stopped early, so where
 that loop is blocked its prefix must be bit-equal too.
 """
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 
 import spreadq.cli
 from spreadq import (
@@ -45,13 +44,6 @@ def test_dstevd_equals_eigh_tridiagonal(label, d, e):
     assert np.array_equal(values, expected_values)
     assert np.array_equal(vectors, expected_vectors)
     assert vectors.flags.f_contiguous
-
-
-@pytest.mark.parametrize("label, d, e", list(tridiagonals()))
-def test_dstebz_equals_eigvalsh_tridiagonal_at_both_ends(label, d, e):
-    for i in (0, d.size - 1):
-        expected = eigvalsh_tridiagonal(d, e, select="i", select_range=(i, i))
-        assert np.array_equal([_lapack.dstebz(d, e, i)], expected)
 
 
 @pytest.mark.parametrize("n", [K for K in ORDERS if K >= 2] + [1000])
@@ -123,7 +115,6 @@ def test_bindings_leave_their_inputs_unchanged():
     d, e = rng.standard_normal(40), rng.standard_normal(39)
     d0, e0 = d.copy(), e.copy()
     _lapack.dstevd(d, e)
-    _lapack.dstebz(d, e, 39)
     assert np.array_equal(d, d0) and np.array_equal(e, e0)
 
 
@@ -134,8 +125,6 @@ def test_non_finite_entries_rejected(bad, where):
     (d if where == "d" else e)[2] = bad
     with pytest.raises(DomainError, match="finite"):
         _lapack.dstevd(d, e)
-    with pytest.raises(DomainError, match="finite"):
-        _lapack.dstebz(d, e, 0)
 
 
 def test_shapes_and_indices_checked():
@@ -143,15 +132,10 @@ def test_shapes_and_indices_checked():
         _lapack.dstevd(np.ones(3), np.ones(3))
     with pytest.raises(DomainError):
         _lapack.dstevd(np.ones(0), np.ones(0))
-    with pytest.raises(DomainError):
-        _lapack.dstebz(np.ones(3), np.ones(2), 3)
-    with pytest.raises(DomainError):
-        _lapack.dstebz(np.ones(3), np.ones(2), -1)
 
 
 # position of INFO among each raw routine's arguments
-INFO_ARGUMENT = {"_STEVD": 10, "_STEBZ": 17, "_SYTRD": 9,
-                 "_SYTRD_2STAGE": 12}
+INFO_ARGUMENT = {"_STEVD": 10, "_SYTRD": 9, "_SYTRD_2STAGE": 12}
 
 
 def failing_routine(info_argument):
@@ -163,7 +147,6 @@ def failing_routine(info_argument):
 
 @pytest.mark.parametrize("routine, call", [
     ("_STEVD", lambda: _lapack.dstevd(np.ones(4), np.ones(3))),
-    ("_STEBZ", lambda: _lapack.dstebz(np.ones(4), np.ones(3), 0)),
     ("_SYTRD", lambda: _lapack.dsytrd(np.eye(4, order="F"))),
     ("_SYTRD_2STAGE", lambda: _lapack.dsytrd_2stage(np.eye(4, order="F"))),
 ])
@@ -183,7 +166,6 @@ def test_dsytrd_leading_raises_on_a_failed_workspace_query(monkeypatch):
 
 
 @pytest.mark.parametrize("routine, name", [("_STEVD", "dstevd"),
-                                           ("_STEBZ", "dstebz"),
                                            ("_SYTRD", "dsytrd")])
 def test_nonzero_info_exits_3_without_run_directory(tmp_path, monkeypatch,
                                                     capsys, routine, name):

@@ -31,7 +31,6 @@ from spreadq.matrix_lanczos import (
     householder_hessenberg,
     lanczos_tridiagonalize,
     reduction_kernel,
-    spectral_norm_estimate,
 )
 
 
@@ -41,20 +40,6 @@ def random_symmetric(n, seed):
     raw = gen.standard_normal((n, n))
     vec = gen.standard_normal(n)
     return (raw + raw.T) / 2, vec / np.linalg.norm(vec)
-
-
-@pytest.fixture
-def norm_estimates(monkeypatch):
-    """Count the power-iteration norm estimates the Lanczos path runs."""
-    calls = []
-    estimate = matrix_lanczos.spectral_norm_estimate
-
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return estimate(matrix)
-
-    monkeypatch.setattr(matrix_lanczos, "spectral_norm_estimate", counted)
-    return calls
 
 
 def test_pauli_x_structure():
@@ -74,11 +59,9 @@ def test_three_level_closed_form():
                                rtol=1e-14)
 
 
-def test_identity_exhausts_immediately(norm_estimates):
+def test_identity_exhausts_immediately():
     lc = lanczos_tridiagonalize(np.eye(5), np.full(5, 5 ** -0.5), 5)
     assert lc.K == 1
-    # the zero residual is the first near the cut: one norm estimate
-    assert norm_estimates == [(5, 5)]
     assert lc.a[0] == pytest.approx(1.0, rel=1e-15)
 
 
@@ -161,8 +144,7 @@ def test_sigma0_equals_first_lanczos_coefficient(ldos):
     assert e0 == pytest.approx(lc.a[0], abs=1e-12)
 
 
-def test_block_decoupling_truncates_both_paths(norm_estimates,
-                                              rotated_to_e0):
+def test_block_decoupling_truncates_both_paths(rotated_to_e0):
     # psi0 lives in the first 3x3 block; the 2x2 tail must not leak in,
     # nor does the rotation sending psi0 to e0 mix it in
     ham = np.zeros((5, 5))
@@ -172,28 +154,39 @@ def test_block_decoupling_truncates_both_paths(norm_estimates,
     psi0[:3] = 1.0 / np.sqrt(3.0)
     lc = lanczos_tridiagonalize(ham, psi0, 5)
     assert lc.K == 3
-    assert norm_estimates == [(5, 5)]
     rotated = rotated_to_e0(ham, psi0)
     assert not np.any(rotated[:3, 3:])
     lc_h = householder_hessenberg(rotated, 0)
     assert lc_h.K == 3
     np.testing.assert_allclose(lc_h.b, lc.b, atol=1e-12)
-    # a partial reduction has no full T, so it estimates ||H|| as Lanczos does
+    # a partial reduction cuts at the same depth
     lc_p = householder_hessenberg(rotated, 0, 4)
     assert lc_p.K == 3
-    assert norm_estimates == [(5, 5), (5, 5)]
     np.testing.assert_allclose(lc_p.a, lc.a, atol=1e-12)
     np.testing.assert_allclose(lc_p.b, lc.b, atol=1e-12)
 
 
-def test_lanczos_without_small_residual_skips_norm_estimate(norm_estimates,
-                                                           rotated_to_e0):
+def test_no_false_cut_without_a_small_residual(rotated_to_e0):
+    # a dense random H decouples nowhere: both routes reach the depth asked
     ham, psi0 = random_symmetric(64, seed=5)
     lc = lanczos_tridiagonalize(ham, psi0, 20)
     assert lc.K == 20
     lc_p = householder_hessenberg(rotated_to_e0(ham, psi0), 0, 20)
     assert lc_p.K == 20
-    assert norm_estimates == []
+
+
+@pytest.mark.parametrize("c, kept", [(5e-12, []), (1e-10, [1e-10])])
+def test_every_route_cuts_at_the_frobenius_scale(c, kept):
+    # ||H||_2 is about 1 and ||H||_F about 20, so b_0 = c = 5e-12 lies
+    # between 1e-12 ||H||_2 and 1e-12 ||H||_F: all three routes cut it
+    n = 400
+    ham = np.eye(n)
+    ham[:2, :2] = [[0.0, c], [c, 1.0]]
+    for lc in (householder_hessenberg(ham, 0),
+               householder_hessenberg(ham, 0, 10),
+               lanczos_tridiagonalize(ham, unit_vector(n, 0), 10)):
+        assert lc.K == len(kept) + 1
+        np.testing.assert_array_equal(lc.b, kept)
 
 
 def test_spin_chain_paths_agree_at_full_depth():
@@ -241,14 +234,6 @@ def test_input_validation():
                          (ham.astype(complex), psi0)):
         with pytest.raises(DomainError, match="real"):
             lanczos_tridiagonalize(*complex_pair, 3)
-
-
-def test_spectral_norm_estimate_close():
-    ham, _ = random_symmetric(50, seed=21)
-    est = spectral_norm_estimate(ham)
-    true = np.max(np.abs(np.linalg.eigvalsh(ham)))
-    assert est <= true * (1 + 1e-12)
-    assert est > 0.8 * true
 
 
 def unit_vector(n, j, sign=1.0):
@@ -334,8 +319,7 @@ def test_overwrite_h_copies_what_it_cannot_reduce_in_place():
         assert np.array_equal(matrix, before)
 
 
-def test_overwrite_h_cuts_a_decoupled_block_at_the_same_depth(
-        norm_estimates):
+def test_overwrite_h_cuts_a_decoupled_block_at_the_same_depth():
     # e_1 lives in the leading 3x3 block; the 2x2 tail must not leak in
     ham = np.zeros((5, 5))
     ham[:3, :3] = [[0.0, 1.0, 0.0], [1.0, 0.5, 2.0], [0.0, 2.0, -1.0]]
@@ -346,30 +330,9 @@ def test_overwrite_h_cuts_a_decoupled_block_at_the_same_depth(
         assert expected.K == lc.K == 3
         assert np.array_equal(lc.a, expected.a)
         assert np.array_equal(lc.b, expected.b)
-    # the partial reductions estimate ||H|| once each, on the n x n buffer
-    assert norm_estimates == [(5, 5), (5, 5)]
     reference = lanczos_tridiagonalize(ham, unit_vector(5, 1), 5)
     np.testing.assert_allclose(lc.a, reference.a, atol=1e-12)
     np.testing.assert_allclose(lc.b, reference.b, atol=1e-12)
-
-
-@pytest.mark.parametrize("n, depth", [(50, 10), (300, 40), (300, 299),
-                                      (257, 130)])
-def test_reduced_matrix_keeps_the_spectrum_of_h(n, depth):
-    # the buffer a partial reduction leaves, made whole, is what the norm
-    # estimate runs on: symmetric, headed by T, and similar to H
-    ham = sample_goe(n, seed=3).H
-    reduced = np.array(ham, order="F")
-    diag, off = _lapack.dsytrd_leading(reduced, depth)
-    whole = matrix_lanczos._reduced_matrix(reduced, np.abs(off))
-    assert whole is reduced and np.array_equal(whole, whole.T)
-    np.testing.assert_array_equal(np.diag(whole)[:depth], diag)
-    np.testing.assert_array_equal(np.diag(whole, -1)[:depth - 1],
-                                  np.abs(off))
-    assert not np.any(np.tril(whole[:, :depth - 1], -2))
-    expected = np.linalg.eigvalsh(ham)
-    np.testing.assert_allclose(np.linalg.eigvalsh(whole), expected, rtol=0,
-                               atol=1e-13 * np.abs(expected).max())
 
 
 def test_in_place_reduction_holds_one_matrix():
