@@ -10,23 +10,43 @@ exactly:
     phi_n(t) = sum_k U_nk exp(-i lambda_k t) U_0k
 
 evaluated as two real matrix products, one on cos(lambda_k t) U_0k for the
-real part and one on sin(lambda_k t) U_0k for the imaginary part.  No
+real part and one on sin(lambda_k t) U_0k for the imaginary part.  Both
+come from one u = tan(lambda t / 2), as cos = 2 / (1 + u^2) - 1 and
+sin = u 2 / (1 + u^2): numpy's float64 ``tan`` is vectorized, its ``cos``
+and ``sin`` are scalar libm calls, and the derived pair is within 3.3e-16
+of the exact one (against mpmath, for |lambda t| up to 1e300).  No
 time-stepping error enters; each grid point is independent, so the
 evolution is unitary up to eigensolver roundoff at every t.
+
+Early rows need only the leading Krylov sites.  With c the centre and R
+the half width of T's spectrum, the Jacobi-Anger expansion
+
+    exp(-i T t) e_0 = exp(-i c t) sum_j (2 - delta_j0) (-i)^j J_j(R t)
+                      T_j((T - c) / R) e_0
+
+whose term j lives on sites <= j and has norm at most 2 |J_j(R t)| <=
+2 (R|t| / 2)^j / j! (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
+(1984)).  So with y = R|t| / 2 the amplitudes on sites >= m have norm at
+most 2 sum_{j>=m} y^j / j! < 2 y^m / m! / (1 - y / (m + 1)) for y < m + 1.
+Each row keeps the smallest m of 32, 64, 128, ... (or K) at which this
+bound is at most REACH_TAIL, so it drops less than 1e-40 of its weight.
+The leading m rows of U are a view: no sub-chain T[:m, :m] is
+diagonalized, which would cost an eigensolve per site count and hold a
+second spectrum, and no new array is made.
 
 ``spread_series`` is the one reducer of amplitudes.  It checks the grid
 once, against the spectrum too (a grid whose largest phase max|lambda| t
 overflows is a ``DomainError``, before NaN amplitudes are formed), and
-evolves TIME_SLAB_ROWS grid rows at a time, so a member holds one
-slab of amplitudes, not len(times) x K, whatever the grid's length; the
-slab's weights |phi_n|^2, formed once, give the unitarity check, C and F.
-The slab is a row count, not a byte size.  Each GEMM call repacks the
-K x K eigenvectors, so slabs of a few dozen rows cost time.  And OpenBLAS
-splits a GEMM's rows over its threads, with a row's last bits following
-the split: other row counts moved C at K=3432 in its last bits, while
-200-row slabs reproduced the whole-grid series bit for bit at K=1000 and
-K=3432.  A byte rule would change the row count with K, and the bits with
-it.
+evolves the rows of each site count TIME_SLAB_ROWS grid rows at a time, so
+a member holds one slab of amplitudes, not len(times) x K, whatever the
+grid's length; the slab's weights |phi_n|^2, formed once, give the
+unitarity check, C and F.  The slab is a row count, not a byte size.  Each
+GEMM call repacks the eigenvectors, so slabs of a few dozen rows cost
+time.  And OpenBLAS splits a GEMM's rows over its threads, with a row's
+last bits following the split: other row counts moved C at K=3432 in its
+last bits, while 200-row slabs reproduced the whole-grid series bit for
+bit at K=1000 and K=3432.  A byte rule would change the row count with K,
+and the bits with it.
 
 Infinite-time averages use the eigenbasis overlaps.  Eigenvalues closer
 than 1e-12 max|lambda| are merged into degenerate blocks first, with no
@@ -56,6 +76,10 @@ AVERAGE_COLUMN_SLAB = 64
 HEISENBERG_MULTIPLE = 20.0
 # grid rows evolved at once by spread_series (see the module docstring)
 TIME_SLAB_ROWS = 200
+# reach rule (see the module docstring): the fewest sites a row keeps, and
+# the bound on the amplitude norm beyond its sites
+REACH_FIRST_SITES = 32
+REACH_TAIL = 1e-20
 
 
 @dataclass
@@ -153,24 +177,49 @@ def time_grid(values, sigma: float, points, tmax=None, log=True) \
 
 def evolve_amplitudes(spectrum: Spectrum, times) -> np.ndarray:
     """Amplitudes ``phi[i, n]`` of Krylov vector n at ``times[i]``, a
-    (len(times), K) complex array; ``spread_series`` checks the grid."""
+    (len(times), m) complex array for the m rows of ``spectrum.vectors``;
+    ``spread_series`` checks the grid."""
     vecs = spectrum.vectors
     # U_0k is a strided row of the F-ordered vectors; read it once
     u0 = vecs[0].copy()
-    # exp(-i lambda t) = cos(lambda t) - i sin(lambda t), one real GEMM each
-    angles = np.outer(times, spectrum.values)
-    phi = np.empty(angles.shape, dtype=complex)
-    phi.real = (np.cos(angles) * u0) @ vecs.T
-    np.sin(angles, out=angles)
-    angles *= -u0
-    phi.imag = angles @ vecs.T
+    # exp(-i lambda t) from u = tan(lambda t / 2), one real GEMM per part
+    sin = np.outer(times, 0.5 * spectrum.values)
+    np.tan(sin, out=sin)
+    cos = sin * sin
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    sin *= cos
+    cos -= 1.0
+    cos *= u0
+    phi = np.empty((cos.shape[0], vecs.shape[0]), dtype=complex)
+    phi.real = cos @ vecs.T
+    sin *= -u0
+    phi.imag = sin @ vecs.T
     return phi
+
+
+def _reach(spectrum: Spectrum, times: np.ndarray) -> np.ndarray:
+    """The leading Krylov sites each grid row keeps (the reach rule of the
+    module docstring)."""
+    y = np.abs(times) * ((spectrum.values[-1] - spectrum.values[0]) / 4.0)
+    sites = np.full(times.size, spectrum.K)
+    m = REACH_FIRST_SITES
+    while m < spectrum.K:
+        ratio = y / (m + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_bound = (math.log(2.0) + m * np.log(y) - math.lgamma(m + 1)
+                         - np.log1p(-ratio))
+        reached = (sites == spectrum.K) & (ratio < 1.0) \
+            & (log_bound <= math.log(REACH_TAIL))
+        sites[reached] = m
+        m *= 2
+    return sites
 
 
 def spread_series(spectrum: Spectrum, times) -> SpreadComplexitySeries:
     """C(t) = sum_n n |phi_n|^2 and F(t) = |phi_0|^2 on an ascending, finite
     grid whose phases lambda t stay finite, from checked slabs of
-    TIME_SLAB_ROWS rows of amplitudes."""
+    TIME_SLAB_ROWS rows of amplitudes over each row's leading sites."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise DomainError("empty time grid")
@@ -186,23 +235,29 @@ def spread_series(spectrum: Spectrum, times) -> SpreadComplexitySeries:
                           f" times max|lambda| {lam_max:.6g} is beyond the "
                           "float range; lower --tmax")
     spread, survival = np.empty(times.size), np.empty(times.size)
-    for lo in range(0, times.size, TIME_SLAB_ROWS):
-        rows = slice(lo, lo + TIME_SLAB_ROWS)
-        phi = evolve_amplitudes(spectrum, times[rows])
-        weights = np.abs(phi)
-        weights **= 2
-        # NaN-safe, a backstop to the phase check: NaN weights fail it
-        worst = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
-        if not worst <= UNITARITY_ATOL:
-            raise NumericalError(
-                f"amplitude normalization off by {worst:.3e}")
-        off_e0 = np.abs(phi[times[rows] == 0.0] - np.eye(1, spectrum.K))
-        if not off_e0.max(initial=0.0) <= UNITARITY_ATOL:
-            raise NumericalError("phi(0) must be the first unit vector")
-        spread[rows] = weights @ np.arange(spectrum.K)
-        survival[rows] = weights[:, 0]
-        # free the slab before the next one is evolved: one slab at a time
-        del phi, weights
+    sites = _reach(spectrum, times)
+    # not np.unique, which imports numpy.ma on its first call
+    for m in sorted(set(sites.tolist())):
+        # the leading m rows of the eigenvectors, a view
+        leading = Spectrum(spectrum.values, spectrum.vectors[:m])
+        group = np.flatnonzero(sites == m)
+        for lo in range(0, group.size, TIME_SLAB_ROWS):
+            rows = group[lo:lo + TIME_SLAB_ROWS]
+            phi = evolve_amplitudes(leading, times[rows])
+            weights = np.abs(phi)
+            weights **= 2
+            # NaN-safe, a backstop to the phase check: NaN weights fail it
+            worst = float(np.max(np.abs(weights.sum(axis=1) - 1.0)))
+            if not worst <= UNITARITY_ATOL:
+                raise NumericalError(
+                    f"amplitude normalization off by {worst:.3e}")
+            off_e0 = np.abs(phi[times[rows] == 0.0] - np.eye(1, m))
+            if not off_e0.max(initial=0.0) <= UNITARITY_ATOL:
+                raise NumericalError("phi(0) must be the first unit vector")
+            spread[rows] = weights @ np.arange(m)
+            survival[rows] = weights[:, 0]
+            # free the slab before the next one is evolved: one at a time
+            del phi, weights
     # phi(0) is the first unit vector up to rounding; pin the exact values
     at_zero = times == 0.0
     spread[at_zero] = 0.0

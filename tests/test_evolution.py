@@ -10,11 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
 from spreadq import DomainError, LanczosCoefficients, NumericalError, cli
 from spreadq.evolution import (
     AVERAGE_COLUMN_SLAB,
     HEISENBERG_MULTIPLE,
+    REACH_FIRST_SITES,
     TIME_SLAB_ROWS,
     LongTimeAverages,
     Spectrum,
@@ -30,6 +32,7 @@ from spreadq.hamiltonians import (
     build_spin_sector,
     domain_wall_index,
     domain_wall_state,
+    sample_goe,
 )
 from spreadq.matrix_lanczos import (
     householder_hessenberg,
@@ -372,6 +375,117 @@ def test_spread_series_refuses_overflowing_phases():
     # a finite largest phase is evolved
     series = spread_series(spectrum, np.array([0.0, 0.5 * 1e308 / reach]))
     assert np.all(np.isfinite(series.C)) and np.all(np.isfinite(series.F))
+
+
+def build_member(kind):
+    """``(lc, spectrum)`` of one member as a command builds it: a GOE
+    member of order 300, or a chain of L = 10 from its domain wall."""
+    if kind == "goe-300":
+        ham, start = sample_goe(300, 3).H, 0
+    else:
+        spec = SpinChainSpec(L=10, h=0.4, g=1.0, seed=5)
+        ham, start = build_spin_sector(spec).H, domain_wall_index(spec)
+    lc = householder_hessenberg(ham, start, overwrite_h=True)
+    return lc, eigendecompose(lc)
+
+
+@pytest.fixture(scope="module", params=["goe-300", "spin-10"])
+def member(request):
+    return build_member(request.param)
+
+
+def evolved_sites(monkeypatch, spectrum, times):
+    """The series of ``spread_series`` and the Krylov sites it evolved at
+    each grid row, read from its calls of ``evolve_amplitudes``."""
+    from spreadq import evolution
+
+    kernel = evolution.evolve_amplitudes
+    sites = np.zeros(times.size, dtype=int)
+
+    def counted(leading, rows):
+        sites[np.searchsorted(times, rows)] = leading.vectors.shape[0]
+        return kernel(leading, rows)
+
+    monkeypatch.setattr(evolution, "evolve_amplitudes", counted)
+    series = spread_series(spectrum, times)
+    assert np.all(sites > 0)
+    return series, sites
+
+
+def jacobi_anger_amplitudes(lc, spectrum, times, terms):
+    """exp(-i T t) e_0 from its Jacobi-Anger series in Chebyshev vectors,
+    summed in float64.  Term j is exactly zero beyond site j, so far
+    amplitudes keep their relative accuracy, where the eigenbasis sum has
+    a floor of eigensolver roundoff near 1e-15."""
+    lam = spectrum.values
+    centre, half = (lam[-1] + lam[0]) / 2.0, (lam[-1] - lam[0]) / 2.0
+    tri = (np.diag(lc.a - centre) + np.diag(lc.b, 1)
+           + np.diag(lc.b, -1)) / half
+    cheb = np.zeros((terms, lc.K))
+    cheb[0, 0] = 1.0
+    cheb[1] = tri @ cheb[0]
+    for j in range(1, terms - 1):
+        cheb[j + 1] = 2.0 * tri @ cheb[j] - cheb[j - 1]
+    j = np.arange(terms)
+    coeffs = (2.0 - (j == 0)) * (-1j) ** j * jv(j, half * times[:, None])
+    # the series is cut where its terms are far below the 1e-20 in norm
+    # the rule may drop
+    assert np.abs(coeffs[:, -1]).max() < 1e-60
+    return np.exp(-1j * centre * times)[:, None] * (coeffs @ cheb)
+
+
+def test_each_row_drops_at_most_1e_40_of_its_weight(member, monkeypatch):
+    lc, spectrum = member
+    times = time_grid(spectrum.values, float(lc.b[0]), 600)
+    _, sites = evolved_sites(monkeypatch, spectrum, times)
+    assert np.all(np.diff(sites) >= 0)
+    assert sites[-1] == spectrum.K
+    cut = sites < spectrum.K
+    # the early rows of both members run on fewer sites
+    assert sites[0] == REACH_FIRST_SITES and cut.sum() > 100
+    phi = jacobi_anger_amplitudes(lc, spectrum, times[cut], 2 * lc.K)
+    np.testing.assert_allclose(phi, evolve_amplitudes(spectrum, times[cut]),
+                               rtol=0, atol=1e-12)
+    beyond = np.arange(spectrum.K) >= sites[cut][:, None]
+    dropped = np.sum(np.abs(phi) ** 2 * beyond, axis=1)
+    assert dropped.max() <= 1e-40
+
+
+def test_a_chain_shorter_than_the_first_site_count_keeps_every_site(
+        monkeypatch):
+    spectrum = eigendecompose(gaussian_lc(1.0, REACH_FIRST_SITES - 1))
+    times = np.geomspace(1e-3, 1e3, 50)
+    _, sites = evolved_sites(monkeypatch, spectrum, times)
+    assert np.all(sites == spectrum.K)
+
+
+@pytest.mark.parametrize("log", [True, False])
+def test_spread_series_matches_the_all_site_reduction(member, monkeypatch,
+                                                      log):
+    lc, spectrum = member
+    times = time_grid(spectrum.values, float(lc.b[0]), 600, log=log)
+    # the same phases over every site, t = 0 pinned
+    weights = np.abs(evolve_amplitudes(spectrum, times)) ** 2
+    whole_c, whole_f = weights @ np.arange(spectrum.K), weights[:, 0]
+    whole_c[times == 0.0], whole_f[times == 0.0] = 0.0, 1.0
+    series, sites = evolved_sites(monkeypatch, spectrum, times)
+    assert sites.min() < spectrum.K
+    np.testing.assert_allclose(series.C, whole_c, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(series.F, whole_f, rtol=0, atol=1e-15)
+    if not log:
+        assert series.C[0] == 0.0 and series.F[0] == 1.0
+
+
+def test_half_angle_phases_match_expm_at_the_grid_end():
+    lc, spectrum = build_member("spin-10")
+    # the phases lambda t reach their largest values at the grid end, 20
+    # Heisenberg times
+    t_end = time_grid(spectrum.values, float(lc.b[0]), 600)[-1]
+    assert t_end * np.abs(spectrum.values).max() > 1e3
+    tri = np.diag(lc.a) + np.diag(lc.b, 1) + np.diag(lc.b, -1)
+    expected = expm(-1j * tri * t_end)[:, 0]
+    phi = evolve_amplitudes(spectrum, np.array([t_end]))
+    np.testing.assert_allclose(phi[0], expected, rtol=0, atol=1e-12)
 
 
 def direct_long_time_average(values, vecs, starts):
